@@ -1,10 +1,10 @@
 """Exact engine for finite-poset order polynomials, operadic composition,
 and rational zeta series identities."""
 
-from .counting import (DVector, count_maps, count_maps_backtracking,
-                       count_strict_surjections, d_vector,
-                       enumeration_report, nested_sum_identity_check,
-                       order_polynomial, reciprocity_check)
+from .counting import (DVector, count_maps, count_strict_surjections,
+                       d_vector, enumeration_report,
+                       nested_sum_identity_check, order_polynomial,
+                       reciprocity_check)
 from .errors import (ArityError, ArityMismatch, CrossCheckMismatch,
                      CycleDetected, DivergentParameter, DuplicateLabel,
                      EnumerationGuard, ExprSyntaxError, IndexOutOfRange,

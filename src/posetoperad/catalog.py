@@ -128,10 +128,6 @@ def iso_classes(n):
     return tuple(reps[k] for k in sorted(reps))
 
 
-def iso_classes_upto(n):
-    return {k: iso_classes(k) for k in range(n + 1)}
-
-
 def _components(P):
     n = len(P)
     seen = [False] * n

@@ -1,38 +1,32 @@
 """Counting order-preserving maps, inclusion-exclusion d-vectors, and
 reciprocity checking.
 
-The production counter walks the lattice of downsets: a strict map into the
-n-chain is a chain of downsets whose successive differences are antichains,
-a weak map is an arbitrary multichain of downsets.  That keeps counting
-polynomial in the number of downsets instead of in the number of maps.  The
-literal backtracking counter (assign values along a linear extension with
-lower bounds from predecessors) is kept as an independent route and is
-cross-checked against the naive full-enumeration referee in the tests.
+One engine counts: a DP over the lattice of downsets.  A strict map into
+the n-chain is a chain of downsets whose successive differences are
+antichains, so |P| DP steps give Omega_strict(P, 0..|P|) and, by
+inclusion-exclusion, the d-vector.  Every map count is then an evaluation
+of the order polynomial built from the d-vector; the weak count follows by
+reciprocity.  The literal counters (backtracking along a linear extension,
+subset sums over downset multichains) live in ``tests/oracles.py`` as
+independent referees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import EnumerationGuard
+from .errors import EnumerationGuard, PosetOperadError
 from .polynomials import BinomialPoly
 from .poset import Poset, _bits, max_chain_length
 
 DEFAULT_GUARD = 12
-TARGET_CAP = 64
 
 
 def _check_guard(P, guard):
     if len(P) > guard:
         raise EnumerationGuard(f"|P| = {len(P)} exceeds enumeration guard {guard}")
-
-
-def _check_target(n, cap=TARGET_CAP):
-    if n > cap:
-        raise EnumerationGuard(f"target chain length {n} exceeds cap {cap}")
 
 
 @lru_cache(maxsize=None)
@@ -68,91 +62,24 @@ def _strict_transitions(P: Poset):
     return trans
 
 
-@lru_cache(maxsize=None)
-def _strict_counts_upto(P: Poset, n: int):
-    """(Omega_strict(P, 0), ..., Omega_strict(P, n)) via the downset DP."""
-    masks = _downsets(P)
-    trans = _strict_transitions(P)
-    full = len(masks) - 1
-    vec = [0] * len(masks)
-    vec[0] = 1  # empty downset after zero value levels
-    counts = [vec[full]]
-    for _ in range(n):
-        vec = [sum(vec[t] for t in preds) for preds in trans]
-        counts.append(vec[full])
-    return tuple(counts)
-
-
-@lru_cache(maxsize=None)
-def _weak_count(P: Poset, n: int):
-    """Weak maps = multichains of n downsets ending at P, via repeated
-    subset-sum transforms over the downset lattice."""
-    k = len(P)
-    downsets = set(_downsets(P))
-    size = 1 << k
-    vec = [0] * size
-    vec[0] = 1
-    for _ in range(n):
-        arr = [vec[m] if m in downsets else 0 for m in range(size)]
-        for b in range(k):
-            bit = 1 << b
-            for m in range(size):
-                if m & bit:
-                    arr[m] += arr[m ^ bit]
-        vec = arr
-    return vec[size - 1]
-
-
 def count_maps(P, n, mode="strict", guard=DEFAULT_GUARD):
-    """Number of maps P -> chain(n) preserving order strictly or weakly."""
+    """Number of maps P -> chain(n) preserving order strictly or weakly:
+    the order polynomial of that mode evaluated at n."""
     _check_guard(P, guard)
-    _check_target(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if mode == "strict":
-        return _strict_counts_upto(P, n)[n]
-    if mode == "weak":
-        return _weak_count(P, n)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def count_maps_backtracking(P, n, mode="strict", guard=DEFAULT_GUARD):
-    """Backtracking counter: assign values along a linear extension, each
-    element bounded below by its predecessors.  Cost grows with the count
-    itself; intended for small instances and cross-checks."""
-    _check_guard(P, guard)
-    _check_target(n)
-    if mode not in ("strict", "weak"):
-        raise ValueError(f"unknown mode {mode!r}")
-    k = len(P)
-    order = sorted(range(k), key=lambda i: P.below_mask(i).bit_count())
-    place = {elem: t for t, elem in enumerate(order)}
-    preds = [[place[j] for j in _bits(P.below_mask(elem))] for elem in order]
-    strict = mode == "strict"
-    vals = [0] * k
-
-    def rec(t):
-        if t == k:
-            return 1
-        lo = 1
-        for s in preds[t]:
-            lo = max(lo, vals[s] + 1 if strict else vals[s])
-        total = 0
-        for v in range(lo, n + 1):
-            vals[t] = v
-            total += rec(t + 1)
-        return total
-
-    return rec(0)
+    basis = "multiset" if mode == "weak" else "binomial"
+    return int(order_polynomial(P, mode, guard).eval(n, basis))
 
 
 def count_strict_surjections(P, m, guard=DEFAULT_GUARD):
     """Strict order-preserving maps from P onto chain(m) (direct search)."""
     _check_guard(P, guard)
-    _check_target(m)
     k = len(P)
     if k == 0:
         return 1 if m == 0 else 0
+    if m > k:
+        return 0
     order = sorted(range(k), key=lambda i: P.below_mask(i).bit_count())
     place = {elem: t for t, elem in enumerate(order)}
     preds = [[place[j] for j in _bits(P.below_mask(elem))] for elem in order]
@@ -190,10 +117,15 @@ class DVector:
 
     def __post_init__(self):
         r0 = max_chain_length(self.poset)
-        assert all(isinstance(v, int) and v >= 0 for v in self.d)
-        assert all(self.d[i - 1] == 0 for i in range(1, r0))
-        if len(self.poset):
-            assert self.d[-1] >= 1
+        if not all(isinstance(v, int) and v >= 0 for v in self.d):
+            raise PosetOperadError(f"d-vector entries must be nonnegative "
+                                   f"integers: {self.d}")
+        if any(self.d[i - 1] for i in range(1, r0)):
+            raise PosetOperadError(f"d_i must vanish below the longest "
+                                   f"chain length {r0}: {self.d}")
+        if len(self.poset) and self.d[-1] < 1:
+            raise PosetOperadError(f"top entry must count linear extensions "
+                                   f"(>= 1): {self.d}")
 
     def triangulation_profile(self):
         """dimension -> simplex count, highest dimension first."""
@@ -208,7 +140,13 @@ def d_vector(P, guard=DEFAULT_GUARD):
     """d_i = sum_{j<=i} (-1)^(i-j) C(i,j) Omega_strict(P, j)."""
     _check_guard(P, guard)
     k = len(P)
-    counts = _strict_counts_upto(P, k)
+    trans = _strict_transitions(P)
+    vec = [0] * len(trans)
+    vec[0] = 1  # empty downset after zero value levels
+    counts = [vec[-1]]  # Omega_strict(P, j) for j = 0..k; last downset is P
+    for _ in range(k):
+        vec = [sum(vec[t] for t in preds) for preds in trans]
+        counts.append(vec[-1])
     d = tuple(sum((-1) ** (i - j) * comb(i, j) * counts[j]
                   for j in range(i + 1))
               for i in range(1, k + 1))

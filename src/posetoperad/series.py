@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .counting import DEFAULT_GUARD, _check_guard, d_vector
+from .counting import DEFAULT_GUARD, _check_guard, order_polynomial
 from .errors import (ArityMismatch, CrossCheckMismatch, MissingProvenance,
                      ModeMismatch, UnknownIdentity)
 from .polynomials import MonomialPoly
@@ -119,17 +119,11 @@ def basis_series(i, mode=STRICT):
 
 
 def series_of(P, mode=STRICT, guard=DEFAULT_GUARD):
-    """Order series of P in basis coordinates: the d-vector for strict,
-    the signed vector (-1)^(|P|-i) d_i for weak; empty poset gives the unit."""
-    k = len(P)
-    if k == 0:
-        return SeriesVec(mode, {0: 1}, provenance=P)
-    dv = d_vector(P, guard)
-    if mode == STRICT:
-        coeffs = {i + 1: v for i, v in enumerate(dv.d)}
-    else:
-        coeffs = {i + 1: (-1) ** (k - i - 1) * v for i, v in enumerate(dv.d)}
-    return SeriesVec(mode, coeffs, provenance=P)
+    """Order series of P in basis coordinates: the coefficients of its order
+    polynomial (the d-vector for strict, the signed vector (-1)^(|P|-i) d_i
+    for weak); the empty poset gives the unit."""
+    return SeriesVec(mode, order_polynomial(P, mode, guard).coeffs,
+                     provenance=P)
 
 
 @dataclass(frozen=True)
@@ -256,7 +250,7 @@ def _multilinear_eval(P, args, guard):
     return acc
 
 
-def operad_eval_series(P, args, guard=DEFAULT_GUARD, crosscheck=True):
+def operad_eval_series(P, args, guard=DEFAULT_GUARD):
     """Action of the poset P on strict order series.
 
     Exact mode (all arguments carry provenance): the series of the
@@ -265,7 +259,7 @@ def operad_eval_series(P, args, guard=DEFAULT_GUARD, crosscheck=True):
     not series-parallel, so when both routes are available they are
     compared and a disagreement raises CrossCheckMismatch.
     """
-    return operad_eval_series_report(P, args, guard, crosscheck).series
+    return operad_eval_series_report(P, args, guard).series
 
 
 @dataclass(frozen=True)
@@ -282,7 +276,7 @@ class OperadEvalReport:
                 "crosschecked": self.crosschecked}
 
 
-def operad_eval_series_report(P, args, guard=DEFAULT_GUARD, crosscheck=True):
+def operad_eval_series_report(P, args, guard=DEFAULT_GUARD):
     args = list(args)
     if len(args) != len(P):
         raise ArityMismatch(
@@ -294,13 +288,10 @@ def operad_eval_series_report(P, args, guard=DEFAULT_GUARD, crosscheck=True):
         composite = lex_sum(P, [a.provenance for a in args])
         _check_guard(composite, guard)
         exact = series_of(composite, STRICT, guard)
-        checked = False
-        if crosscheck:
-            multi = _multilinear_eval(P, args, guard)
-            if multi != exact:
-                raise CrossCheckMismatch(exact, multi)
-            checked = True
-        return OperadEvalReport(exact, "exact", False, checked)
+        multi = _multilinear_eval(P, args, guard)
+        if multi != exact:
+            raise CrossCheckMismatch(exact, multi)
+        return OperadEvalReport(exact, "exact", False, True)
     multi = _multilinear_eval(P, args, guard)
     return OperadEvalReport(multi, "multilinear", True, False)
 

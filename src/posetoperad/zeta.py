@@ -20,7 +20,7 @@ from mpmath import mp, mpf, nstr
 
 from .counting import DEFAULT_GUARD, d_vector, order_polynomial
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
-                     PrecisionUnachievable)
+                     PosetOperadError, PrecisionUnachievable)
 from .polynomials import BinomialPoly, bernoulli_number
 from .poset import Poset, chain, lex_sum, max_chain_length
 from .series import series_of
@@ -377,7 +377,9 @@ def finite_form_identity(P, guard=DEFAULT_GUARD):
     if len(P):
         lhs_ffe = _ffe_lhs(poly, Fraction(2))
         rhs_ffe = _ffe_rhs(P, Fraction(2), guard)
-        assert lhs_ffe == rhs_ffe
+        if lhs_ffe != rhs_ffe:
+            raise PosetOperadError(f"divided-by-r form fails at r=2: "
+                                   f"{lhs_ffe} != {rhs_ffe}")
         notes.append("divided-by-r form verified exactly at r=2")
     desc = (f"sum_{{k>={r0}}} (-1)^(k+1) Omega({P.relation_string()})(k) "
             f"(zeta(k+1)-1)")
@@ -471,7 +473,8 @@ def _inverse_square_partial_fractions(k):
     from .polynomials import binomial as binom
     a = {i: binom(-k, k - i) for i in range(1, k + 1)}
     b = {k - m: Fraction((-1) ** k) * binom(k + m - 1, m) for m in range(k)}
-    assert a[1] == -b[1], "telescoping part must cancel"
+    if a[1] != -b[1]:
+        raise PosetOperadError("telescoping part must cancel")
     return a, b
 
 

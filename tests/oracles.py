@@ -21,6 +21,55 @@ def naive_count_maps(P, n, mode):
     return count
 
 
+def backtracking_count_maps(P, n, mode):
+    """Assign values along a linear extension, each element bounded below
+    by its predecessors.  Cost grows with the count itself."""
+    if mode not in ("strict", "weak"):
+        raise ValueError(f"unknown mode {mode!r}")
+    k = len(P)
+    order = sorted(range(k), key=lambda i: P.below_mask(i).bit_count())
+    place = {elem: t for t, elem in enumerate(order)}
+    preds = [[place[j] for j in range(k) if P.below_mask(elem) >> j & 1]
+             for elem in order]
+    strict = mode == "strict"
+    vals = [0] * k
+
+    def rec(t):
+        if t == k:
+            return 1
+        lo = 1
+        for s in preds[t]:
+            lo = max(lo, vals[s] + 1 if strict else vals[s])
+        total = 0
+        for v in range(lo, n + 1):
+            vals[t] = v
+            total += rec(t + 1)
+        return total
+
+    return rec(0)
+
+
+def subset_sum_weak_count(P, n):
+    """Weak maps = multichains of n downsets ending at P, via repeated
+    subset-sum transforms over all 2^|P| masks; O(n |P| 2^|P|)."""
+    k = len(P)
+    size = 1 << k
+    is_downset = [all(P.below_mask(i) & ~m == 0
+                      for i in range(k) if m >> i & 1)
+                  for m in range(size)]
+    vec = [0] * size
+    vec[0] = 1
+    for _ in range(n):
+        arr = [v if ok else 0 for v, ok in zip(vec, is_downset)]
+        for b in range(k):
+            bit = 1 << b
+            for m in range(size):
+                if m & bit:
+                    arr[m] += arr[m ^ bit]
+        vec = arr
+    return vec[size - 1]
+
+
 def naive_strict_surjections(P, m):
     rel = [(P.index_of(a), P.index_of(b)) for a, b in P.relation]
     full = set(range(m))

@@ -70,6 +70,12 @@ def test_eval_and_tropical(capsys):
     assert code == EXIT_OK and out.strip() == "5"
 
 
+def test_eval_beyond_64(capsys):
+    code, payload, _ = run_json(capsys, "eval", "C3", "--at", "65")
+    assert code == EXIT_OK
+    assert payload["value"] == {"strict": 43680, "weak": 47905}
+
+
 def test_tables(capsys):
     code, payload, _ = run_json(capsys, "tables", "--eulerian", "4")
     assert code == EXIT_OK

@@ -1,24 +1,30 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from posetoperad.counting import (count_maps, count_maps_backtracking,
+import posetoperad
+from posetoperad.counting import (DVector, count_maps,
                                   count_strict_surjections, d_vector,
                                   enumeration_report,
                                   nested_sum_identity_check, order_polynomial,
                                   reciprocity_check)
-from posetoperad.errors import EnumerationGuard
+from posetoperad.errors import EnumerationGuard, PosetOperadError
 from posetoperad.polynomials import BinomialPoly, MonomialPoly, stirling2
 from posetoperad.poset import (antichain, chain, construct_poset,
                                disjoint_union, lex_sum, max_chain_length,
                                ordinal_sum)
 from posetoperad.series import zigzag_poset
 
-from oracles import (naive_count_maps, naive_linear_extensions,
-                     naive_strict_surjections)
+from oracles import (backtracking_count_maps, naive_count_maps,
+                     naive_linear_extensions, naive_strict_surjections,
+                     subset_sum_weak_count)
 
 
 def star_poset():
@@ -45,9 +51,17 @@ def test_three_counting_routes_agree(classes_upto_4):
             for n in range(7):
                 for mode in ("strict", "weak"):
                     dp = count_maps(P, n, mode)
-                    bt = count_maps_backtracking(P, n, mode)
+                    bt = backtracking_count_maps(P, n, mode)
                     nv = naive_count_maps(P, n, mode)
                     assert dp == bt == nv
+
+
+def test_counts_match_literal_referees_on_six_elements(classes_upto_6):
+    for P in classes_upto_6[6]:
+        for n in range(9):
+            assert count_maps(P, n, "weak") == subset_sum_weak_count(P, n)
+        for n in range(5):
+            assert count_maps(P, n) == backtracking_count_maps(P, n, "strict")
 
 
 def test_d_vector_examples():
@@ -152,9 +166,21 @@ def test_empty_poset_conventions():
 def test_guards():
     with pytest.raises(EnumerationGuard):
         count_maps(antichain(13), 2)
-    with pytest.raises(EnumerationGuard):
-        count_maps(chain(2), 65)
+    assert count_maps(chain(2), 65) == comb(65, 2)
     assert count_maps(antichain(13), 2, guard=13) == 2 ** 13
+
+
+def test_corrupt_d_vector_raises_under_optimize():
+    with pytest.raises(PosetOperadError):
+        DVector(chain(2), (1, 0))
+    code = ("from posetoperad.counting import DVector\n"
+            "from posetoperad.poset import chain\n"
+            "DVector(chain(2), (1, 0))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(posetoperad.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and "PosetOperadError" in proc.stderr
 
 
 def test_guard_override_threaded_through():
