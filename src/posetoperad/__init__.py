@@ -11,13 +11,11 @@ from .errors import (ArityError, ArityMismatch, CrossCheckMismatch,
                      MissingProvenance, ModeMismatch, PosetOperadError,
                      PrecisionUnachievable, UnknownIdentity, UnknownLabel,
                      UnknownName)
-from .polynomials import (BinomialPoly, MonomialPoly, basis_convert,
-                          bernoulli_number, binomial, eulerian_number,
-                          eulerian_polynomial, eval_binomial_poly,
+from .polynomials import (BinomialPoly, MonomialPoly, bernoulli_number,
+                          binomial, eulerian_number, eulerian_polynomial,
                           multiset_coeff, stirling2, x_power)
-from .poset import (Poset, antichain, canonical_poset, chain, construct_poset,
-                    disjoint_union, lex_sum, max_chain_length, ordinal_sum,
-                    tropical_eval)
+from .poset import (Poset, antichain, chain, construct_poset, disjoint_union,
+                    lex_sum, max_chain_length, ordinal_sum, tropical_eval)
 from .series import (ClosedForm, SeriesVec, basis_series, closed_form,
                      hadamard, iota, operad_eval_series,
                      operad_eval_series_report, ordinal_mul, series_of,

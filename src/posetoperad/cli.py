@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -55,15 +56,35 @@ _FIG2_ROWS = (
 )
 
 
+def _arg_type(convert, ok, requirement):
+    """argparse type: convert the text, then require ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_digits = _arg_type(int, lambda v: v >= 1, "need an integer >= 1")
+_tolerance = _arg_type(float, lambda v: 0 < v < math.inf,
+                       "need a finite number > 0")
+_ratio = _arg_type(Fraction, lambda v: True, "need a rational number")
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="posetoperad",
         description="order polynomials, order series, and rational zeta "
                     "identities for finite posets")
-    p.add_argument("--digits", type=int,
-                   default=int(os.environ.get("POSETOPERAD_DIGITS", "50")),
+    # a string default goes through the same type check as the flag
+    p.add_argument("--digits", type=_digits,
+                   default=os.environ.get("POSETOPERAD_DIGITS", "50"),
                    help="working precision in decimal digits")
-    p.add_argument("--tolerance", type=float, default=1e-12,
+    p.add_argument("--tolerance", type=_tolerance, default=1e-12,
                    help="numeric verification tolerance")
     p.add_argument("--term-cap", type=int, default=4000,
                    help="cap on summed series terms")
@@ -90,7 +111,8 @@ def build_parser():
     s = sub.add_parser("inverse-sum",
                        help="exact sum of Omega(P,n)/r^n")
     s.add_argument("expr")
-    s.add_argument("--r", required=True, help="rational ratio, |r| > 1")
+    s.add_argument("--r", type=_ratio, required=True,
+                   help="rational ratio, |r| > 1")
     s.add_argument("--weak", action="store_true")
 
     s = sub.add_parser("eval", help="count order-preserving maps into [n]")
@@ -184,7 +206,7 @@ def _cmd_inverse_sum(args):
     mode = "weak" if args.weak else "strict"
     for text in _expressions(args):
         P = resolve(parse_expr(text))
-        value = inverse_power_sum(P, Fraction(args.r), mode, args.guard)
+        value = inverse_power_sum(P, args.r, mode, args.guard)
         _emit(args, [str(value)], {"value": str(value), "mode": mode})
     return EXIT_OK
 

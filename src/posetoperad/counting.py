@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import EnumerationGuard, PosetOperadError
-from .polynomials import BinomialPoly
+from .polynomials import BinomialPoly, weak_sign_flip
 from .poset import Poset, _bits, max_chain_length
 
 DEFAULT_GUARD = 12
@@ -161,11 +161,11 @@ def order_polynomial(P, mode="strict", guard=DEFAULT_GUARD):
     k = len(P)
     if k == 0:
         return BinomialPoly({0: 1})
+    strict = {i + 1: v for i, v in enumerate(dv.d)}
     if mode == "strict":
-        return BinomialPoly({i + 1: v for i, v in enumerate(dv.d)})
+        return BinomialPoly(strict)
     if mode == "weak":
-        return BinomialPoly({i + 1: (-1) ** (k - i - 1) * v
-                             for i, v in enumerate(dv.d)})
+        return BinomialPoly(weak_sign_flip(strict, k))
     raise ValueError(f"unknown mode {mode!r}")
 
 

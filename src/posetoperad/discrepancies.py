@@ -85,16 +85,10 @@ def points_expansion_sign_discrepancy():
     one = MonomialPoly({0: 1})
     one_minus_x = one - x
 
-    def power(p, e):
-        out = one
-        for _ in range(e):
-            out = out * p
-        return out
-
     def lhs(n):
         total = MonomialPoly({})
         for k in range(1, n + 1):
-            term = power(x, k - 1) * power(one_minus_x, n - k)
+            term = x ** (k - 1) * one_minus_x ** (n - k)
             total = total + term.scale(
                 Fraction(stirling2(n, k)) * factorial(k))
         return total
@@ -102,14 +96,14 @@ def points_expansion_sign_discrepancy():
     def printed_rhs(n):
         total = MonomialPoly({})
         for k in range(1, n + 1):
-            total = total + power(one_minus_x, k).scale(
+            total = total + (one_minus_x ** k).scale(
                 Fraction(stirling2(n, n - k)) * factorial(n - k))
         return total
 
     def corrected_rhs(n):
         total = MonomialPoly({})
         for k in range(1, n + 1):
-            total = total + power(one_minus_x, n - k).scale(
+            total = total + (one_minus_x ** (n - k)).scale(
                 Fraction((-1) ** (n - k) * stirling2(n, k)) * factorial(k))
         return total
 

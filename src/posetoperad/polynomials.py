@@ -1,5 +1,12 @@
-"""Exact arithmetic over the binomial-coefficient basis plus the classical
-integer kernels (Stirling, Eulerian, Bernoulli).
+"""The sparse rational vector shared by polynomials and order series, the
+binomial and monomial polynomial bases, and the classical integer kernels
+(Stirling, Eulerian, Bernoulli).
+
+A poset's d-vector is its order polynomial over {C(x, i)} and its order
+series over Z_i, so one ``SparseVec`` core serves ``BinomialPoly``,
+``MonomialPoly`` and ``series.SeriesVec``: cleaning, ==/hash over (basis
+tag, coefficients), +/-/scale within one basis, rendering and the JSON
+coefficient map.  The subclasses add evaluation, basis change and products.
 
 Everything here is exact rational arithmetic; no floats.  The memo tables
 live behind ``functools.lru_cache`` and are safe for concurrent readers.
@@ -11,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, ModeMismatch
 
 
 def binomial(x, k):
@@ -39,27 +46,48 @@ def multiset_coeff(x, k):
     return binomial(Fraction(x) + k - 1, k)
 
 
-def _clean(coeffs):
+def clean_coeffs(coeffs):
+    """{index: value} with int keys and nonzero Fraction values."""
     out = {}
-    for i, v in coeffs.items():
+    for i, v in (coeffs or {}).items():
         v = Fraction(v)
         if v:
             out[int(i)] = v
     return out
 
 
-class BinomialPoly:
-    """Finitely supported rational coefficients over the basis {C(x, i)}.
+def _term(v, base, first, sep="*"):
+    """One signed term of a rendered sum, e.g. "3*C(x,2)", "- Z_1", "+ 1/2"."""
+    sign = "-" if v < 0 else ("" if first else "+")
+    mag = abs(v)
+    body = str(mag) if base == "1" else (
+        base if mag == 1 else f"{mag}{sep}{base}")
+    if first:
+        return f"{sign}{body}"
+    return f"{sign} {body}"
 
-    The same coefficient vector can be read against the multiset basis
-    {C(x+i-1, i)} by passing mode="multiset" where an eval mode is taken;
-    weak order polynomials use that reading.
+
+def render_sum(terms, sep="*"):
+    """Render (coefficient, base) pairs as a signed sum; "0" when empty."""
+    return " ".join(_term(v, base, not n, sep)
+                    for n, (v, base) in enumerate(terms)) or "0"
+
+
+class SparseVec:
+    """Immutable finitely supported vector of exact rationals over one basis.
+
+    ``coeffs`` maps basis index to a nonzero Fraction.  Subclasses name the
+    basis through ``basis`` (the tag compared by ==, hash, + and -) and
+    build same-basis results through ``_like``.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = _clean(coeffs or {})
+        self.coeffs = clean_coeffs(coeffs)
+
+    def _like(self, coeffs):
+        return type(self)(coeffs)
 
     def coeff(self, i):
         return self.coeffs.get(i, Fraction(0))
@@ -71,23 +99,53 @@ class BinomialPoly:
         return not self.coeffs
 
     def __eq__(self, other):
-        return isinstance(other, BinomialPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, SparseVec) and self.basis == other.basis
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.basis, frozenset(self.coeffs.items())))
 
     def __add__(self, other):
+        if self.basis != other.basis:
+            raise ModeMismatch(
+                f"cannot add {self.basis} and {other.basis} coefficients")
         out = dict(self.coeffs)
         for i, v in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + v
-        return BinomialPoly(out)
+            out[i] = out.get(i, 0) + v
+        return self._like(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, r):
         r = Fraction(r)
-        return BinomialPoly({i: v * r for i, v in self.coeffs.items()})
+        return self._like({i: v * r for i, v in self.coeffs.items()})
+
+    def _render(self, base, sep="*"):
+        return render_sum([(self.coeffs[i], base(i))
+                           for i in sorted(self.coeffs)], sep)
+
+    def json_coeffs(self):
+        return {str(i): str(v) for i, v in sorted(self.coeffs.items())}
+
+    @staticmethod
+    def coeffs_from_json(d):
+        return {int(i): Fraction(v) for i, v in d["coeffs"].items()}
+
+    def to_json_dict(self):
+        return {"basis": self.basis, "coeffs": self.json_coeffs()}
+
+
+class BinomialPoly(SparseVec):
+    """Polynomial over the basis {C(x, i)}.
+
+    The same coefficient vector can be read against the multiset basis
+    {C(x+i-1, i)} by passing mode="multiset" where an eval mode is taken;
+    weak order polynomials use that reading.
+    """
+
+    __slots__ = ()
+    basis = "binomial"
 
     def eval(self, x, mode="binomial"):
         if mode == "binomial":
@@ -106,48 +164,17 @@ class BinomialPoly:
         return out
 
     def render(self, var="x"):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in sorted(self.coeffs):
-            v = self.coeffs[i]
-            base = "1" if i == 0 else f"C({var},{i})"
-            parts.append(_term(v, base, first=not parts))
-        return " ".join(parts)
-
-    def to_json_dict(self):
-        return {"basis": "binomial",
-                "coeffs": {str(i): str(v) for i, v in sorted(self.coeffs.items())}}
+        return self._render(lambda i: f"C({var},{i})" if i else "1")
 
 
-class MonomialPoly:
-    """Plain polynomial with exact rational coefficients over {x^i}."""
+class MonomialPoly(SparseVec):
+    """Plain polynomial over {x^i}."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = _clean(coeffs or {})
-
-    def coeff(self, i):
-        return self.coeffs.get(i, Fraction(0))
-
-    def degree(self):
-        return max(self.coeffs, default=0)
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for i, v in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + v
-        return MonomialPoly(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
+    __slots__ = ()
+    basis = "monomial"
+    # perfbench/tracer.py wraps these by name in MonomialPoly.__dict__
+    __add__, __sub__, scale = (SparseVec.__add__, SparseVec.__sub__,
+                               SparseVec.scale)
 
     def __mul__(self, other):
         out = {}
@@ -156,9 +183,12 @@ class MonomialPoly:
                 out[i + j] = out.get(i + j, Fraction(0)) + a * b
         return MonomialPoly(out)
 
-    def scale(self, r):
-        r = Fraction(r)
-        return MonomialPoly({i: v * r for i, v in self.coeffs.items()})
+    def __pow__(self, e):
+        """p^e for an integer e >= 0, by repeated multiplication."""
+        out = MonomialPoly({0: 1})
+        for _ in range(e):
+            out = out * self
+        return out
 
     def eval(self, x):
         x = Fraction(x)
@@ -172,7 +202,7 @@ class MonomialPoly:
     def to_binomial(self):
         """Newton forward differences: coefficient of C(x,i) is the i-th
         difference of p at 0."""
-        d = self.degree()
+        d = self.max_index()
         vals = [self.eval(j) for j in range(d + 1)]
         out = {}
         for i in range(d + 1):
@@ -181,27 +211,8 @@ class MonomialPoly:
         return BinomialPoly(out)
 
     def render(self, var="x"):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in sorted(self.coeffs):
-            base = "1" if i == 0 else (var if i == 1 else f"{var}^{i}")
-            parts.append(_term(self.coeffs[i], base, first=not parts))
-        return " ".join(parts)
-
-    def to_json_dict(self):
-        return {"basis": "monomial",
-                "coeffs": {str(i): str(v) for i, v in sorted(self.coeffs.items())}}
-
-
-def _term(v, base, first):
-    sign = "-" if v < 0 else ("" if first else "+")
-    mag = abs(v)
-    body = base if mag == 1 and base != "1" else (
-        str(mag) if base == "1" else f"{mag}*{base}")
-    if first:
-        return f"{sign}{body}"
-    return f"{sign} {body}"
+        return self._render(
+            lambda i: "1" if i == 0 else (var if i == 1 else f"{var}^{i}"))
 
 
 @lru_cache(maxsize=None)
@@ -217,30 +228,17 @@ def x_power(n):
     return MonomialPoly({n: 1})
 
 
-def eval_binomial_poly(p, x, mode="binomial"):
-    return p.eval(x, mode)
-
-
-def basis_convert(p, direction):
-    """to_monomial on a BinomialPoly, to_binomial on a MonomialPoly."""
-    if direction == "to_monomial":
-        if not isinstance(p, BinomialPoly):
-            raise TypeError("to_monomial expects a BinomialPoly")
-        return p.to_monomial()
-    if direction == "to_binomial":
-        if not isinstance(p, MonomialPoly):
-            raise TypeError("to_binomial expects a MonomialPoly")
-        return p.to_binomial()
-    raise ValueError(f"unknown direction {direction!r}")
+def weak_sign_flip(coeffs, k):
+    """The sign twist c_i -> (-1)^(k-i) c_i between the strict and weak
+    coordinates of a k-element poset; an involution."""
+    return {i: v if (k - i) % 2 == 0 else -v for i, v in coeffs.items()}
 
 
 def poly_from_json(d):
-    coeffs = {int(i): Fraction(v) for i, v in d["coeffs"].items()}
-    if d["basis"] == "binomial":
-        return BinomialPoly(coeffs)
-    if d["basis"] == "monomial":
-        return MonomialPoly(coeffs)
-    raise ValueError(f"unknown basis {d['basis']!r}")
+    cls = {"binomial": BinomialPoly, "monomial": MonomialPoly}.get(d["basis"])
+    if cls is None:
+        raise ValueError(f"unknown basis {d['basis']!r}")
+    return cls(SparseVec.coeffs_from_json(d))
 
 
 @lru_cache(maxsize=None)

@@ -150,7 +150,9 @@ def construct_poset(labels, covers):
     below = _close_masks(below)
     for i, m in enumerate(below):
         if m >> i & 1:
-            raise CycleDetected(labels[i])
+            # the cycle through i: elements both below and above i
+            cycle = [labels[j] for j in _bits(m) if below[j] >> i & 1]
+            raise CycleDetected("cycle among " + ", ".join(cycle))
     rel = {(labels[j], labels[i])
            for i in range(len(labels)) for j in _bits(below[i])}
     return Poset(labels, rel)
@@ -165,14 +167,6 @@ def chain(n):
 
 def antichain(n):
     return construct_poset([str(i + 1) for i in range(n)], [])
-
-
-def canonical_poset(kind, n):
-    if kind == "chain":
-        return chain(n)
-    if kind == "antichain":
-        return antichain(n)
-    raise ValueError(f"unknown canonical poset kind {kind!r}")
 
 
 def lex_sum(outer, inner):

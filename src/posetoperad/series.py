@@ -3,8 +3,11 @@ ordinal products, the strict/weak involution, and the operadic action.
 
 A strict series is a coefficient vector over Z_i = x^i/(1-x)^(i+1), a weak
 series over Z+_i = x/(1-x)^(i+1); index 0 holds the units 1/(1-x) and
-x/(1-x).  Vectors are never truncated: all identities here are exact in
-the basis, and power-series expansion exists only for cross-checks.
+x/(1-x).  ``SeriesVec`` is the shared ``polynomials.SparseVec`` with the
+mode as its basis tag, so a strict series holds the same coefficients as
+the strict order polynomial.  Vectors are never truncated: all identities
+here are exact in the basis, and power-series expansion exists only for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -18,79 +21,47 @@ from math import comb
 from .counting import DEFAULT_GUARD, _check_guard, order_polynomial
 from .errors import (ArityMismatch, CrossCheckMismatch, MissingProvenance,
                      ModeMismatch, UnknownIdentity)
-from .polynomials import MonomialPoly
+from .polynomials import MonomialPoly, SparseVec, clean_coeffs, weak_sign_flip
 from .poset import (Poset, chain, disjoint_union, lex_sum, ordinal_sum)
 
 STRICT = "strict"
 WEAK = "weak"
 
 
-class SeriesVec:
-    """Finitely supported exact-rational coefficients over the strict or
-    weak inclusion-exclusion basis, with optional generating poset."""
+class SeriesVec(SparseVec):
+    """Coefficients over the strict or weak inclusion-exclusion basis, with
+    optional generating poset; the basis tag is the mode."""
 
-    __slots__ = ("mode", "coeffs", "provenance")
+    __slots__ = ("mode", "provenance")
 
     def __init__(self, mode, coeffs=None, provenance=None):
         if mode not in (STRICT, WEAK):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
-        clean = {}
-        for i, v in (coeffs or {}).items():
-            v = Fraction(v)
-            if v:
-                clean[int(i)] = v
-        self.coeffs = clean
+        self.coeffs = clean_coeffs(coeffs)
         self.provenance = provenance
 
-    def coeff(self, i):
-        return self.coeffs.get(i, Fraction(0))
+    # the basis tag; provenance is metadata and takes no part in ==
+    @property
+    def basis(self):
+        return self.mode
 
-    def support(self):
-        return sorted(self.coeffs)
+    def _like(self, coeffs):
+        return SeriesVec(self.mode, coeffs)
 
-    def max_index(self):
-        return max(self.coeffs, default=0)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    # provenance is metadata; mathematical equality is mode + coefficients
-    def __eq__(self, other):
-        return (isinstance(other, SeriesVec)
-                and self.mode == other.mode
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.mode, frozenset(self.coeffs.items())))
-
-    def __add__(self, other):
-        if self.mode != other.mode:
-            raise ModeMismatch("cannot add strict and weak series")
-        out = dict(self.coeffs)
-        for i, v in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + v
-        return SeriesVec(self.mode, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, r):
-        return SeriesVec(self.mode,
-                         {i: v * Fraction(r) for i, v in self.coeffs.items()})
+    def eval_at(self, x):
+        """Sum of the basis functions at the rational point x (x != 1):
+        Z_i = x^i/(1-x)^(i+1), Z+_i = x/(1-x)^(i+1)."""
+        x = Fraction(x)
+        if self.mode == STRICT:
+            return sum((c * x ** i / (1 - x) ** (i + 1)
+                        for i, c in self.coeffs.items()), Fraction(0))
+        return sum((c * x / (1 - x) ** (i + 1)
+                    for i, c in self.coeffs.items()), Fraction(0))
 
     def render(self):
-        if not self.coeffs:
-            return "0"
         sym = "Z" if self.mode == STRICT else "Z+"
-        parts = []
-        for i in sorted(self.coeffs):
-            v = self.coeffs[i]
-            sign = "-" if v < 0 else ("" if not parts else "+")
-            mag = abs(v)
-            body = f"{sym}_{i}" if mag == 1 else f"{mag} {sym}_{i}"
-            parts.append(f"{sign}{body}" if not parts else f"{sign} {body}")
-        return " ".join(parts)
+        return self._render(lambda i: f"{sym}_{i}", sep=" ")
 
     def __repr__(self):
         return f"SeriesVec({self.mode}: {self.render()})"
@@ -98,7 +69,7 @@ class SeriesVec:
     def to_json_dict(self):
         return {
             "mode": self.mode,
-            "coeffs": {str(i): str(v) for i, v in sorted(self.coeffs.items())},
+            "coeffs": self.json_coeffs(),
             "provenance": (self.provenance.to_json_dict()
                            if self.provenance is not None else None),
         }
@@ -106,11 +77,8 @@ class SeriesVec:
     @staticmethod
     def from_json_dict(d):
         prov = d.get("provenance")
-        return SeriesVec(
-            d["mode"],
-            {int(i): Fraction(v) for i, v in d["coeffs"].items()},
-            Poset.from_json_dict(prov) if prov else None,
-        )
+        return SeriesVec(d["mode"], SparseVec.coeffs_from_json(d),
+                         Poset.from_json_dict(prov) if prov else None)
 
 
 def basis_series(i, mode=STRICT):
@@ -171,13 +139,9 @@ def closed_form(S):
     num = MonomialPoly({})
     one_minus_x = MonomialPoly({0: 1, 1: -1})
     for i, c in S.coeffs.items():
-        pw = MonomialPoly({0: 1})
-        for _ in range(m - i):
-            pw = pw * one_minus_x
         lead = MonomialPoly({i: 1}) if S.mode == STRICT else MonomialPoly({1: 1})
-        num = num + (lead * pw).scale(c)
-    deg = num.degree() if num.coeffs else 0
-    coeffs = tuple(num.coeff(t) for t in range(deg + 1))
+        num = num + (lead * one_minus_x ** (m - i)).scale(c)
+    coeffs = tuple(num.coeff(t) for t in range(num.max_index() + 1))
     return ClosedForm(coeffs, m + 1, S.mode)
 
 
@@ -227,10 +191,9 @@ def iota(S):
     """
     if S.provenance is None:
         raise MissingProvenance("iota needs the generating poset")
-    k = len(S.provenance)
-    flipped = {i: (-1) ** (k - i) * v for i, v in S.coeffs.items()}
     other = WEAK if S.mode == STRICT else STRICT
-    return SeriesVec(other, flipped, provenance=S.provenance)
+    return SeriesVec(other, weak_sign_flip(S.coeffs, len(S.provenance)),
+                     provenance=S.provenance)
 
 
 @lru_cache(maxsize=None)
@@ -240,14 +203,15 @@ def _chain_slot_series(P, lengths, guard):
 
 def _multilinear_eval(P, args, guard):
     supports = [sorted(a.coeffs.items()) for a in args]
-    acc = SeriesVec(STRICT, {})
+    out = {}
     for combo in product(*supports):
         coeff = Fraction(1)
         for _, c in combo:
             coeff *= c
         lengths = tuple(i for i, _ in combo)
-        acc = acc + _chain_slot_series(P, lengths, guard).scale(coeff)
-    return acc
+        for k, v in _chain_slot_series(P, lengths, guard).coeffs.items():
+            out[k] = out.get(k, 0) + coeff * v
+    return SeriesVec(STRICT, out)
 
 
 def operad_eval_series(P, args, guard=DEFAULT_GUARD):
@@ -266,8 +230,16 @@ def operad_eval_series(P, args, guard=DEFAULT_GUARD):
 class OperadEvalReport:
     series: SeriesVec
     mode_used: str           # "exact" or "multilinear"
-    conjectural: bool        # multilinear extension without poset provenance
-    crosschecked: bool
+
+    @property
+    def conjectural(self):
+        """Multilinear extension without poset provenance."""
+        return self.mode_used == "multilinear"
+
+    @property
+    def crosschecked(self):
+        """Both routes ran and agreed, which happens in exact mode."""
+        return self.mode_used == "exact"
 
     def to_json_dict(self):
         return {"series": self.series.to_json_dict(),
@@ -291,9 +263,9 @@ def operad_eval_series_report(P, args, guard=DEFAULT_GUARD):
         multi = _multilinear_eval(P, args, guard)
         if multi != exact:
             raise CrossCheckMismatch(exact, multi)
-        return OperadEvalReport(exact, "exact", False, True)
+        return OperadEvalReport(exact, "exact")
     multi = _multilinear_eval(P, args, guard)
-    return OperadEvalReport(multi, "multilinear", True, False)
+    return OperadEvalReport(multi, "multilinear")
 
 
 @dataclass(frozen=True)
@@ -405,16 +377,9 @@ def _check_antichain_strict_weak(n, guard):
     s = closed_form(series_of(P, STRICT, guard))
     w = closed_form(series_of(P, WEAK, guard))
     one_minus_x = MonomialPoly({0: 1, 1: -1})
-
-    def pad(poly, k):
-        out = poly
-        for _ in range(k):
-            out = out * one_minus_x
-        return out
-
     m = max(s.den_power, w.den_power)
-    lhs = pad(s.numerator_poly(), m - s.den_power)
-    rhs = pad(w.numerator_poly(), m - w.den_power)
+    lhs = s.numerator_poly() * one_minus_x ** (m - s.den_power)
+    rhs = w.numerator_poly() * one_minus_x ** (m - w.den_power)
     return SeriesIdentityReport(
         "antichain_strict_weak", (("n", n),),
         lhs == rhs, s.to_json_dict().__repr__(), w.to_json_dict().__repr__())

@@ -11,7 +11,7 @@ large s; plain zeta(s) adds 1 back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -21,9 +21,10 @@ from mpmath import mp, mpf, nstr
 from .counting import DEFAULT_GUARD, d_vector, order_polynomial
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
                      PosetOperadError, PrecisionUnachievable)
-from .polynomials import BinomialPoly, bernoulli_number
+from .polynomials import (BinomialPoly, bernoulli_number, clean_coeffs,
+                          render_sum)
 from .poset import Poset, chain, lex_sum, max_chain_length
-from .series import series_of
+from .series import STRICT, SeriesVec, series_of
 
 
 @dataclass(frozen=True)
@@ -127,21 +128,18 @@ class ZetaExpr:
 
     coeffs is a sorted tuple of (k, coefficient) pairs, k >= 1 meaning the
     coefficient multiplies zeta(k+1).  Printable both directly and against
-    the shifted terms zeta(k+1) - 1 - 2^-(k+1).
+    the shifted terms zeta(k+1) - 1 - 2^-(k+1).  Provenance is metadata and
+    takes no part in equality.
     """
 
     constant: Fraction = Fraction(0)
     coeffs: tuple = ()
-    provenance: Poset | None = None
+    provenance: Poset | None = field(default=None, compare=False)
 
     @staticmethod
     def make(constant=0, coeffs=None, provenance=None):
-        clean = []
-        for k, v in sorted((coeffs or {}).items()):
-            v = Fraction(v)
-            if v:
-                clean.append((int(k), v))
-        return ZetaExpr(Fraction(constant), tuple(clean), provenance)
+        return ZetaExpr(Fraction(constant),
+                        tuple(sorted(clean_coeffs(coeffs).items())), provenance)
 
     def coeff_dict(self):
         return dict(self.coeffs)
@@ -163,14 +161,6 @@ class ZetaExpr:
         return ZetaExpr.make(self.constant * r,
                              {k: v * r for k, v in self.coeffs})
 
-    def __eq__(self, other):
-        return (isinstance(other, ZetaExpr)
-                and self.constant == other.constant
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.constant, self.coeffs))
-
     def shifted_constant(self):
         """Leftover rational when the expression is written over the shifted
         basis zeta(k+1) - 1 - 2^-(k+1) with the same coefficients."""
@@ -179,7 +169,6 @@ class ZetaExpr:
         return self.constant + extra
 
     def render(self, style="plain"):
-        parts = []
         if style == "plain":
             terms = [(v, f"zeta({k + 1})") for k, v in self.coeffs]
             const = self.constant
@@ -189,16 +178,9 @@ class ZetaExpr:
             const = self.shifted_constant()
         else:
             raise ValueError(f"unknown render style {style!r}")
-        for v, base in terms:
-            sign = "-" if v < 0 else ("" if not parts else "+")
-            mag = abs(v)
-            body = base if mag == 1 else f"{mag}*{base}"
-            parts.append(f"{sign}{body}" if not parts else f"{sign} {body}")
-        if const or not parts:
-            sign = "-" if const < 0 else ("" if not parts else "+")
-            body = str(abs(const))
-            parts.append(f"{sign}{body}" if not parts else f"{sign} {body}")
-        return " ".join(parts)
+        if const or not terms:
+            terms.append((const, "1"))
+        return render_sum(terms)
 
     def __repr__(self):
         return f"ZetaExpr({self.render()})"
@@ -375,7 +357,7 @@ def finite_form_identity(P, guard=DEFAULT_GUARD):
     rhs = n_tilde2(poly)
     notes = []
     if len(P):
-        lhs_ffe = _ffe_lhs(poly, Fraction(2))
+        lhs_ffe = _ffe_lhs(SeriesVec(STRICT, poly.coeffs), Fraction(2))
         rhs_ffe = _ffe_rhs(P, Fraction(2), guard)
         if lhs_ffe != rhs_ffe:
             raise PosetOperadError(f"divided-by-r form fails at r=2: "
@@ -388,14 +370,10 @@ def finite_form_identity(P, guard=DEFAULT_GUARD):
                           notes=tuple(notes))
 
 
-def _ffe_lhs(poly, r):
-    """sum_k (-1)^(k+1) p(k) / r^(k+1) as an exact rational via the strict
-    basis evaluated at -1/r."""
-    x = Fraction(-1, 1) / r
-    total = Fraction(0)
-    for i, c in poly.coeffs.items():
-        total += c * x ** i / (1 - x) ** (i + 1)
-    return -total / r
+def _ffe_lhs(S, r):
+    """sum_k (-1)^(k+1) p(k) / r^(k+1) as an exact rational: the strict
+    order series S of p evaluated at -1/r."""
+    return -S.eval_at(Fraction(-1) / r) / r
 
 
 def _ffe_rhs(P, r, guard):
@@ -412,15 +390,7 @@ def inverse_power_sum(P, r, mode="strict", guard=DEFAULT_GUARD):
     r = Fraction(r)
     if abs(r) <= 1:
         raise DivergentParameter(f"need |r| > 1, got {r}")
-    S = series_of(P, mode, guard)
-    x = 1 / r
-    total = Fraction(0)
-    for i, c in S.coeffs.items():
-        if mode == "strict":
-            total += c * x ** i / (1 - x) ** (i + 1)
-        else:
-            total += c * x / (1 - x) ** (i + 1)
-    return total
+    return series_of(P, mode, guard).eval_at(1 / r)
 
 
 def inverse_power_sum_partial(P, r, terms, mode="strict", guard=DEFAULT_GUARD):

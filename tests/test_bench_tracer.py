@@ -1,0 +1,37 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps package functions and
+methods by name from outside.  This test installs it in a fresh process so
+that moving a wrapped method fails here, not first in a traced bench run."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from posetoperad import counting, poset, series
+P = poset.construct_poset(["x", "y", "z", "w"],
+                          [("x", "y"), ("z", "y"), ("z", "w")])
+counting.reciprocity_check(P)
+series.closed_form(series.series_of(P, "weak"))
+series.hadamard(series.basis_series(2), series.basis_series(1))
+print(json.dumps(tracer.summary()["calls"]))
+"""
+
+
+def test_tracer_installs_and_sees_vector_layer():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"),
+         str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    for name in ("polynomials.monomial", "series.product",
+                 "series.closed_form"):
+        assert calls.get(name, 0) > 0, (name, calls)

@@ -111,6 +111,29 @@ def test_env_var_digits(capsys, monkeypatch):
     assert args.digits == 25
 
 
+def test_inverse_sum_zero_denominator_is_usage_error(capsys):
+    code, out, err = run(capsys, "inverse-sum", "A3", "--r=1/0")
+    assert code == EXIT_USAGE and "--r" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("digits", ["0", "-3"])
+def test_digits_below_one_is_usage_error(capsys, digits):
+    code, out, err = run(capsys, "--digits", digits, "zeta-identity", "C2")
+    assert code == EXIT_USAGE and "--digits" in err and out == ""
+
+
+def test_env_var_digits_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("POSETOPERAD_DIGITS", "abc")
+    code, out, err = run(capsys, "poly", "C2")
+    assert code == EXIT_USAGE and "--digits" in err and out == ""
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-12", "nan", "inf"])
+def test_tolerance_must_be_finite_and_positive(capsys, tol):
+    code, out, err = run(capsys, "--tolerance", tol, "zeta-identity", "C2")
+    assert code == EXIT_USAGE and "--tolerance" in err and out == ""
+
+
 def test_stdin_batch(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("A5\nC2\n"))
     code, out, _ = run(capsys, "inverse-sum", "-", "--r", "2")

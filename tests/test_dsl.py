@@ -86,8 +86,9 @@ def test_arity_and_name_errors():
         parse_expr("{x,y}(C1, C1, C1)")
     with pytest.raises(UnknownName):
         resolve(parse_expr("mystery"))
-    with pytest.raises(CycleDetected):
+    with pytest.raises(CycleDetected) as exc:
         parse_poset("{a<b, b<a}")
+    assert str(exc.value) == "cycle among a, b"
 
 
 def test_format_examples():

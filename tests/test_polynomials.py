@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from posetoperad.errors import IndexOutOfRange
-from posetoperad.polynomials import (BinomialPoly, MonomialPoly, basis_convert,
+from posetoperad.errors import IndexOutOfRange, ModeMismatch
+from posetoperad.polynomials import (BinomialPoly, MonomialPoly,
                                      bernoulli_number, binomial,
                                      eulerian_number, eulerian_polynomial,
-                                     eval_binomial_poly, multiset_coeff,
-                                     poly_from_json, stirling2, x_power)
+                                     multiset_coeff, poly_from_json,
+                                     stirling2, x_power)
 
 from oracles import descent_eulerian, partition_stirling2
 
@@ -24,9 +24,9 @@ def test_binomial_values():
 
 def test_eval_modes():
     p = BinomialPoly({2: 1})
-    assert eval_binomial_poly(p, 5) == 10
-    assert eval_binomial_poly(BinomialPoly({3: 1}), 2) == 0
-    assert eval_binomial_poly(p, 3, "multiset") == 6
+    assert p.eval(5) == 10
+    assert BinomialPoly({3: 1}).eval(2) == 0
+    assert p.eval(3, "multiset") == 6
 
 
 def test_stirling_against_partition_oracle():
@@ -100,9 +100,19 @@ def test_binomial_coeffs_are_scaled_stirling():
 
 def test_basis_convert_dispatch():
     p = BinomialPoly({1: 2, 3: 1})
-    assert basis_convert(basis_convert(p, "to_monomial"), "to_binomial") == p
-    with pytest.raises(TypeError):
-        basis_convert(p, "to_binomial")
+    assert p.to_monomial().to_binomial() == p
+
+
+def test_mixed_bases_do_not_add():
+    from posetoperad.series import SeriesVec
+    b, m = BinomialPoly({1: 1}), MonomialPoly({1: 1})
+    assert b != m and b.coeffs == m.coeffs
+    for x, y in [(b, m), (m, b),
+                 (SeriesVec("strict", {1: 1}), SeriesVec("weak", {1: 1}))]:
+        with pytest.raises(ModeMismatch):
+            x + y
+        with pytest.raises(ModeMismatch):
+            x - y
 
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)

@@ -4,9 +4,9 @@ import pytest
 
 from posetoperad.errors import (ArityMismatch, CycleDetected, DuplicateLabel,
                                 UnknownLabel)
-from posetoperad.poset import (Poset, antichain, canonical_poset, chain,
-                               construct_poset, disjoint_union, lex_sum,
-                               max_chain_length, ordinal_sum, tropical_eval)
+from posetoperad.poset import (Poset, antichain, chain, construct_poset,
+                               disjoint_union, lex_sum, max_chain_length,
+                               ordinal_sum, tropical_eval)
 from posetoperad.series import zigzag_poset
 
 from oracles import naive_max_chain
@@ -36,8 +36,9 @@ def test_zigzag_construction():
 def test_singleton_and_errors():
     P = construct_poset(["a"], [])
     assert len(P) == 1 and not P.relation
-    with pytest.raises(CycleDetected):
+    with pytest.raises(CycleDetected) as exc:
         construct_poset(["a", "b"], [("a", "b"), ("b", "a")])
+    assert str(exc.value) == "cycle among a, b"
     with pytest.raises(DuplicateLabel):
         construct_poset(["a", "a"], [])
     with pytest.raises(UnknownLabel):
@@ -45,12 +46,12 @@ def test_singleton_and_errors():
 
 
 def test_canonical_families():
-    C = canonical_poset("chain", 3)
+    C = chain(3)
     assert C.relation == {("1", "2"), ("1", "3"), ("2", "3")}
     assert len(C.relation) == 3  # C(3,2) closed pairs
-    A = canonical_poset("antichain", 4)
+    A = antichain(4)
     assert len(A) == 4 and not A.relation
-    assert len(canonical_poset("chain", 0)) == 0
+    assert len(chain(0)) == 0
 
 
 def test_closure_transitivity():
