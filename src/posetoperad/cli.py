@@ -4,7 +4,8 @@ Subcommands: poly, series, zeta-identity, inverse-sum, eval, tropical,
 tables, verify-suite.  Expressions use the DSL grammar in
 :mod:`posetoperad.dsl`; pass "-" to read one expression per stdin line.
 
-Exit codes: 0 all good, 1 verification failure, 2 usage or parse error,
+Exit codes: 0 all good, 1 verification failure (also an error bound above
+the tolerance, or stdout closed early), 2 usage or parse error,
 3 enumeration guard exceeded.
 """
 
@@ -368,7 +369,13 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # reader gone; devnull spares the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAIL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """High-precision zeta values, the binomial-to-zeta linear maps, finite-form
 identity generation, exact inverse-power sums, and numeric verification.
 
-Exactness split: every ZetaExpr is exact rational data; floating arithmetic
-(mpmath, at the context's working precision) appears only in zeta_value and
-in the numeric verification paths, and always together with an explicit
-error bound.  zeta(s) - 1 is summed from n = 2 to avoid cancellation at
-large s; plain zeta(s) adds 1 back.
+Exactness split: every ZetaExpr is exact rational data.  zeta(s) (Borwein,
+"An efficient algorithm for the Riemann zeta function", 2000) and the direct
+sum in entry22_check run in Python-integer fixed point, with bounds that
+count every rounding and without touching mpmath's global precision.
+mpmath, at the context's working precision, remains for the verification
+sums and rendering, always together with an explicit error bound.
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
 
-from mpmath import mp, mpf, nstr
+from mpmath import libmp, mp, mpf, nstr
 
 from .counting import DEFAULT_GUARD, d_vector, order_polynomial
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
                      PosetOperadError, PrecisionUnachievable)
-from .polynomials import (BinomialPoly, bernoulli_number, clean_coeffs,
-                          render_sum)
+from .polynomials import BinomialPoly, clean_coeffs, render_sum
 from .poset import Poset, chain, lex_sum, max_chain_length
 from .series import STRICT, SeriesVec, series_of
 
@@ -33,7 +32,8 @@ class PrecisionContext:
 
     The tolerance must stay looser than the guaranteed truncation and
     rounding bound of each computation; the verifiers raise
-    PrecisionUnachievable when they cannot honor that.
+    PrecisionUnachievable when they cannot honor that.  zeta_sum_cap caps
+    the terms of Borwein's zeta series (about 1.31 per working digit).
     """
 
     working_digits: int = 50
@@ -44,76 +44,73 @@ class PrecisionContext:
 
 DEFAULT_CTX = PrecisionContext()
 
-_EM_K = 4  # Bernoulli corrections through B_8; remainder bounded by B_10 term
+_GUARD_DIGITS = 10  # fixed-point digits kept past the working digits
 
 
-def _rising(s, m):
-    r = 1
-    for t in range(m):
-        r *= s + t
-    return r
+def _float_up(x):
+    """A float >= the nonnegative rational x, never 0."""
+    return math.nextafter(float(x), math.inf)
 
 
-def _em_tail_coeff(s):
-    # |B_(2K+2)| / (2K+2)! * (s)_(2K+1), the first omitted correction
-    b = abs(bernoulli_number(2 * _EM_K + 2))
-    return Fraction(b) / factorial(2 * _EM_K + 2) * _rising(s, 2 * _EM_K + 1)
+def _to_mpf(man, bits):
+    """man * 2^-bits as an mpf, exact for |man| < 2^(bits+1)."""
+    return mp.make_mpf(libmp.from_man_exp(man, -bits, bits + 1, "n"))
 
 
-def _choose_em_cutoff(s, digits, cap):
-    """Smallest N (floor 50) with the omitted-term bound below 10^-(digits+2)."""
-    c = _em_tail_coeff(s)
-    log10c = math.log10(c.numerator) - math.log10(c.denominator)
-    exponent = (digits + 2 + log10c) / (s + 2 * _EM_K + 1)
-    N = max(50, int(math.ceil(10 ** exponent)) + 1)
-    if N > cap:
-        raise PrecisionUnachievable(
-            f"Euler-Maclaurin cutoff {N} exceeds cap {cap} for zeta({s})")
-    return N
-
-
-def _em_bound(s, N, digits):
-    c = _em_tail_coeff(s)
-    log10b = (math.log10(c.numerator) - math.log10(c.denominator)
-              - (s + 2 * _EM_K + 1) * math.log10(N))
-    truncation = 10.0 ** max(log10b, -320.0)
-    rounding = 10.0 ** (-(digits + 5))
-    return truncation + rounding
-
-
-def _em_zeta_minus_one(s, N, dps):
-    """Euler-Maclaurin for zeta(s) - 1: sum n^-s from n = 2 through N, then
-    integral, half-term, and Bernoulli corrections at N."""
-    with mp.workdps(dps):
-        total = mpf(0)
-        for n in range(2, N + 1):
-            total += mpf(n) ** (-s)
-        total += mpf(N) ** (1 - s) / (s - 1)
-        total -= mpf(N) ** (-s) / 2
-        for j in range(1, _EM_K + 1):
-            b = bernoulli_number(2 * j)
-            coeff = Fraction(b, factorial(2 * j)) * _rising(s, 2 * j - 1)
-            total += (mpf(coeff.numerator) / coeff.denominator
-                      * mpf(N) ** (-s - 2 * j + 1))
-        return +total
+@lru_cache(maxsize=None)
+def _borwein_weights(n):
+    """d_n and (d_n - d_k for k < n), where d_k = n sum_(i<=k) (n+i-1)! 4^i
+    / ((n-i)! (2i)!) = sum_(i<=k) n 4^i C(n+i, 2i) / (n+i) are integers."""
+    d, partial = 0, []
+    for i in range(n + 1):
+        term, rem = divmod(n * 4 ** i * math.comb(n + i, 2 * i), n + i)
+        if rem:
+            raise PosetOperadError(f"Borwein weight {i} of n={n} is not an integer")
+        d += term
+        partial.append(d)
+    return d, tuple(d - dk for dk in partial[:n])
 
 
 @lru_cache(maxsize=None)
 def _zeta_minus_one_cached(s, digits, cap):
-    N = _choose_em_cutoff(s, digits, cap)
-    value = _em_zeta_minus_one(s, N, digits + 10)
-    return value, _em_bound(s, N, digits)
+    """(zeta(s) - 1, zeta(s), bound) by Borwein's alternating series.
+
+    eta(s) = sum_(k<n) (-1)^k (d_n - d_k) / (d_n (k+1)^s), each term floored
+    at B bits, and zeta(s) = eta(s) 2^(s-1) / (2^(s-1) - 1) with one more
+    floor.  The bound is the truncation 2 * 3/(3+sqrt 8)^n, the 2 covering
+    1/(1 - 2^(1-s)) for s >= 2, plus 2n + 1 ulps: the n term floors, doubled
+    by the same factor, and the division's own.
+    """
+    n = math.ceil((digits + _GUARD_DIGITS + math.log10(6))
+                  / math.log10(3 + math.sqrt(8)))
+    if n > cap:
+        raise PrecisionUnachievable(
+            f"Borwein term count {n} exceeds cap {cap} for zeta({s})")
+    dn, weights = _borwein_weights(n)
+    ulps = 2 * n + 1
+    B = libmp.dps_to_prec(digits + _GUARD_DIGITS) + ulps.bit_length()
+    one = 1 << B
+    eta = 0
+    for k, w in enumerate(weights):
+        p = (k + 1) ** s
+        if p > one:  # w < d_n, so this term and every later one floors to 0
+            break
+        t = (w << B) // (dn * p)
+        eta += -t if k & 1 else t
+    half = 1 << (s - 1)
+    z = eta * half // (half - 1)
+    # 3 + sqrt 8 > 1457/250
+    bound = _float_up(Fraction(6 * 250 ** n, 1457 ** n) + Fraction(ulps, one))
+    return _to_mpf(z - one, B), _to_mpf(z, B), bound
 
 
 def zeta_value(s, ctx=DEFAULT_CTX, minus_one=False):
     """(value, error_bound) for zeta(s) or zeta(s) - 1, s an integer >= 2."""
     if not isinstance(s, int) or s < 2:
         raise ValueError("zeta_value needs an integer s >= 2")
-    value, bound = _zeta_minus_one_cached(s, ctx.working_digits, ctx.zeta_sum_cap)
-    if minus_one:
-        return value, bound
-    with mp.workdps(ctx.working_digits + 10):
-        return value + 1, bound
+    minus, plain, bound = _zeta_minus_one_cached(
+        s, ctx.working_digits, ctx.zeta_sum_cap)
+    return (minus if minus_one else plain), bound
 
 
 def _fr(x):
@@ -310,12 +307,20 @@ def _choose_series_cap(M, D, tol, cap):
         f"series cap {cap} cannot push the tail below {tol / 2}")
 
 
+def _check_bound(bound, ctx):
+    """A bound above the tolerance would pass whatever it swallows."""
+    if bound > ctx.verify_tolerance:
+        raise PrecisionUnachievable(
+            f"error bound {bound:.3e} exceeds tolerance "
+            f"{ctx.verify_tolerance:.3e}; raise the working digits")
+
+
 def verify_identity(rec, ctx=DEFAULT_CTX):
     """Numerically referee an IdentityRecord built on a binomial-basis LHS.
 
     The LHS sum is truncated where the certified tail bound drops below
     half the tolerance; the pass flag compares against the accumulated
-    bound plus the tolerance.
+    bound plus the tolerance; a bound above the tolerance raises.
     """
     if rec.lhs_poly is None:
         raise ValueError("record carries no summable polynomial")
@@ -339,6 +344,7 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
             term_bound += abs(float(pk)) * zb
         rhs_val, rhs_bound = rec.rhs.eval_numeric(ctx)
         bound = float(tail) + term_bound + rhs_bound
+        _check_bound(bound, ctx)
         passed = abs(total - rhs_val) <= bound + ctx.verify_tolerance
     return replace(rec, lhs_numeric=total, rhs_numeric=rhs_val,
                    error_bound=bound, passed=passed,
@@ -478,8 +484,9 @@ def entry22_formula(k):
 
 
 def entry22_check(k, ctx=DEFAULT_CTX):
-    """Compare the direct sum of 1/(n^k (n+1)^k) against the printed zeta
-    combination; on mismatch the telescoping-oracle value is attached."""
+    """Compare the direct sum of 1/(n^k (n+1)^k), in integer fixed point,
+    against the printed zeta combination; on mismatch the telescoping-oracle
+    value is attached."""
     if k < 2:
         raise ValueError("entry22_check needs k >= 2")
     formula = entry22_formula(k)
@@ -487,13 +494,15 @@ def entry22_check(k, ctx=DEFAULT_CTX):
     tol = ctx.verify_tolerance
     # integral tail: sum_{n>M} n^-2k < M^(1-2k)/(2k-1)
     M = max(64, int(math.ceil((4 / (tol * (2 * k - 1))) ** (1 / (2 * k - 1)))))
+    # fixed point: one floor per term, M ulps in all
+    B = libmp.dps_to_prec(ctx.working_digits + _GUARD_DIGITS) + M.bit_length()
+    one = 1 << B
+    total = _to_mpf(sum(one // (n * (n + 1)) ** k for n in range(1, M + 1)), B)
+    tail = float(Fraction(1, (2 * k - 1) * M ** (2 * k - 1)))
+    rhs_val, rhs_bound = formula.eval_numeric(ctx)
+    bound = tail + _float_up(Fraction(M, one)) + rhs_bound
+    _check_bound(bound, ctx)
     with mp.workdps(ctx.working_digits + 10):
-        total = mpf(0)
-        for n in range(1, M + 1):
-            total += 1 / (mpf(n) ** k * mpf(n + 1) ** k)
-        tail = float(Fraction(1, (2 * k - 1) * M ** (2 * k - 1)))
-        rhs_val, rhs_bound = formula.eval_numeric(ctx)
-        bound = tail + rhs_bound
         passed = abs(total - rhs_val) <= bound + tol
     notes = [f"telescoping oracle: {oracle.render()}",
              f"formula matches oracle: {formula == oracle}"]

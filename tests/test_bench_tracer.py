@@ -15,13 +15,15 @@ sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from tracer import Tracer
 tracer = Tracer()
 tracer.install()
-from posetoperad import counting, poset, series
+from posetoperad import counting, poset, series, zeta
 P = poset.construct_poset(["x", "y", "z", "w"],
                           [("x", "y"), ("z", "y"), ("z", "w")])
 counting.reciprocity_check(P)
 series.closed_form(series.series_of(P, "weak"))
 series.hadamard(series.basis_series(2), series.basis_series(1))
-print(json.dumps(tracer.summary()["calls"]))
+zeta.verify_identity(zeta.finite_form_identity(P))
+summary = tracer.summary()
+print(json.dumps({**summary["calls"], **summary["counts"]}))
 """
 
 
@@ -33,5 +35,6 @@ def test_tracer_installs_and_sees_vector_layer():
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout)
     for name in ("polynomials.monomial", "series.product",
-                 "series.closed_form"):
+                 "series.closed_form", "zeta.zeta_value",
+                 "zeta.zeta_value.misses", "zeta.verify.terms"):
         assert calls.get(name, 0) > 0, (name, calls)

@@ -1,11 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from posetoperad import schema
 from posetoperad.cli import (EXIT_FAIL, EXIT_GUARD, EXIT_OK, EXIT_USAGE, main)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -168,3 +174,34 @@ def test_verify_suite_human_output_has_same_cases(capsys):
     _, human, _ = run(capsys, "verify-suite")
     for case in payload["cases"]:
         assert case["id"] in human
+
+
+def test_bound_above_tolerance_is_not_a_pass(capsys):
+    # 5 digits bound the zeta values near 1e-15, far above 1e-30
+    code, out, err = run(capsys, "--digits", "5", "--tolerance", "1e-30",
+                         "zeta-identity", "C2")
+    assert code == EXIT_FAIL and "exceeds tolerance" in err
+    assert "pass: True" not in out
+
+
+def test_high_digit_runs_pass(capsys):
+    code, payload, _ = run_json(capsys, "--digits", "200", "verify-suite")
+    assert code == EXIT_OK and payload["all_pass"] is True
+    code, payload, _ = run_json(capsys, "--digits", "100",
+                                "zeta-identity", "A4")
+    assert code == EXIT_OK and payload["record"]["pass"] is True
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the reading end is closed before the child writes anything
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "posetoperad.cli", "--format", "json",
+         "--digits", "30", "verify-suite"],
+        stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        timeout=120)
+    os.close(write_end)
+    assert proc.returncode == EXIT_FAIL
+    assert "Traceback" not in proc.stderr and "Error" not in proc.stderr

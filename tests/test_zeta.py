@@ -1,4 +1,7 @@
+import sys
+import threading
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 from hypothesis import given, settings
@@ -12,7 +15,8 @@ from posetoperad.polynomials import BinomialPoly, bernoulli_number, x_power
 from posetoperad.poset import antichain, chain, lex_sum, ordinal_sum
 from posetoperad.series import zigzag_poset
 from posetoperad.zeta import (DEFAULT_CTX, IdentityRecord, PrecisionContext,
-                              ZetaExpr, _em_zeta_minus_one,
+                              ZetaExpr, _borwein_weights,
+                              _zeta_minus_one_cached,
                               alternating_unit_record, binomial_shift_record,
                               entry22_check, entry22_formula, entry22_oracle,
                               finite_form_identity, goldbach_record,
@@ -34,8 +38,9 @@ def test_zeta2_matches_pi_squared_over_six():
 
 
 def test_zeta_two_parameter_choices_agree_to_30_digits():
-    a = _em_zeta_minus_one(3, 400, 45)
-    b = _em_zeta_minus_one(3, 900, 45)
+    # two Borwein term counts (chosen for 30 and 80 digits) agree to 30
+    a, _, _ = _zeta_minus_one_cached(3, 30, 10 ** 6)
+    b, _, _ = _zeta_minus_one_cached(3, 80, 10 ** 6)
     with mpmath.workdps(45):
         assert abs(a - b) < mpmath.mpf(10) ** -30
 
@@ -47,6 +52,60 @@ def test_zeta_against_library_reference():
             err = abs(v - mpmath.zeta(s))
             assert err < mpmath.mpf(10) ** -45
             assert float(err) <= b + 1e-45  # reported bound is honest
+
+
+@pytest.mark.parametrize("digits", [30, 55, 200])
+def test_zeta_minus_one_within_reported_bound(digits):
+    ctx = PrecisionContext(working_digits=digits)
+    for s in range(2, 101):
+        v, b = zeta_value(s, ctx, minus_one=True)
+        with mpmath.workdps(digits + 40):
+            err = abs(v - (mpmath.zeta(s) - 1))
+            assert err <= b, (s, err, b)
+        assert b < 10.0 ** -(digits + 5)
+
+
+def test_borwein_weights_are_integers():
+    # d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), in exact rationals
+    for n in (1, 2, 7, 53, 86):
+        dn, weights = _borwein_weights(n)
+        d, exact = Fraction(0), []
+        for i in range(n + 1):
+            d += Fraction(n * factorial(n + i - 1) * 4 ** i,
+                          factorial(n - i) * factorial(2 * i))
+            exact.append(d)
+        assert all(x.denominator == 1 for x in exact)
+        assert dn == exact[n]
+        assert weights == tuple(dn - x for x in exact[:n])
+
+
+def test_zeta_value_is_thread_safe():
+    ctxs = [PrecisionContext(working_digits=30),
+            PrecisionContext(working_digits=200)]
+    _zeta_minus_one_cached.cache_clear()
+    serial = [[zeta_value(s, c) for s in range(2, 60)] for c in ctxs]
+    _zeta_minus_one_cached.cache_clear()
+    prec = mpmath.mp.prec
+    got = [None, None]
+    barrier = threading.Barrier(2, timeout=60)
+
+    def work(i):
+        barrier.wait()
+        got[i] = [zeta_value(s, ctxs[i]) for s in range(2, 60)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == serial
+    assert mpmath.mp.prec == prec
 
 
 def test_zeta_minus_one_decay():
@@ -74,7 +133,8 @@ def test_euler_even_zeta_formula():
 def test_zeta_value_validation():
     with pytest.raises(ValueError):
         zeta_value(1)
-    tiny = PrecisionContext(working_digits=60, zeta_sum_cap=100)
+    # Borwein needs about 93 terms at 60 digits
+    tiny = PrecisionContext(working_digits=60, zeta_sum_cap=50)
     with pytest.raises(PrecisionUnachievable):
         zeta_value(2, tiny)
 
