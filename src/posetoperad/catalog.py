@@ -13,11 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product
 
-from .poset import Poset, _bits
-
-
-def _downclosed(masks_below, m):
-    return all(masks_below[i] & ~m == 0 for i in _bits(m))
+from .poset import Poset, _bits, decompose, downsets
 
 
 def _extensions(down):
@@ -27,10 +23,10 @@ def _extensions(down):
     for i in range(k):
         for j in _bits(down[i]):
             up[j] |= 1 << i
-    downsets = [m for m in range(1 << k) if _downclosed(down, m)]
-    upsets = [m for m in range(1 << k) if _downclosed(up, m)]
-    for D in downsets:
-        for U in upsets:
+    full = (1 << k) - 1
+    ups = downsets(up, full)
+    for D in downsets(down, full):
+        for U in ups:
             if D & U:
                 continue
             # d < new < u forces d < u already present
@@ -128,44 +124,14 @@ def iso_classes(n):
     return tuple(reps[k] for k in sorted(reps))
 
 
-def _components(P):
-    n = len(P)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        mask = 0
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            mask |= 1 << i
-            for j in _bits(P.below_mask(i) | P.above_mask(i)):
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(mask)
-    return comps
-
-
-def _ordinal_split(P, low, high):
-    """True when every element of `high` lies above all of `low`."""
-    return all(P.below_mask(i) & low == low for i in _bits(high))
+def _points_only(tree):
+    if isinstance(tree, int):
+        return tree & (tree - 1) == 0
+    return all(_points_only(part) for part in tree[1])
 
 
 @lru_cache(maxsize=None)
 def is_series_parallel(P):
-    """True iff P is generated from points by disjoint union and ordinal sum."""
-    n = len(P)
-    if n <= 1:
-        return True
-    comps = _components(P)
-    if len(comps) > 1:
-        return all(is_series_parallel(P.induced(m)) for m in comps)
-    full = (1 << n) - 1
-    for low in range(1, full):
-        if _ordinal_split(P, low, full & ~low):
-            return (is_series_parallel(P.induced(low))
-                    and is_series_parallel(P.induced(full & ~low)))
-    return False
+    """True iff P is generated from points by disjoint union and ordinal
+    sum: its decomposition (``poset.decompose``) has no prime piece."""
+    return _points_only(decompose(P))

@@ -20,11 +20,11 @@ from fractions import Fraction
 
 from mpmath import nstr
 
-from .counting import (DEFAULT_GUARD, count_maps, d_vector,
+from .counting import (DEFAULT_GUARD, check_guard, count_maps,
                        enumeration_report, order_polynomial,
                        reciprocity_check)
 from .discrepancies import known_discrepancies
-from .dsl import parse_expr, resolve
+from .dsl import element_count, parse_expr, resolve
 from .errors import (ArityError, ArityMismatch, CycleDetected,
                      DivergentParameter, DuplicateLabel, EnumerationGuard,
                      ExprSyntaxError, PosetOperadError,
@@ -155,10 +155,18 @@ def _expressions(args):
     return [args.expr]
 
 
+def _guarded_posets(args):
+    """The posets of the expressions, each checked against the guard from
+    its syntax tree before it is built."""
+    for text in _expressions(args):
+        ast = parse_expr(text)
+        check_guard(element_count(ast), args.guard)
+        yield resolve(ast)
+
+
 def _cmd_poly(args):
     status = EXIT_OK
-    for text in _expressions(args):
-        P = resolve(parse_expr(text))
+    for P in _guarded_posets(args):
         report = enumeration_report(P, args.guard)
         dv = report["d"]
         poly = order_polynomial(P, "strict", args.guard)
@@ -173,8 +181,7 @@ def _cmd_poly(args):
 
 
 def _cmd_series(args):
-    for text in _expressions(args):
-        P = resolve(parse_expr(text))
+    for P in _guarded_posets(args):
         S = series_of(P, args.mode, args.guard)
         cf = closed_form(S)
         num = " + ".join(f"{c}*x^{i}" for i, c in enumerate(cf.numerator) if c)
@@ -188,8 +195,7 @@ def _cmd_series(args):
 def _cmd_zeta_identity(args):
     ctx = _ctx(args)
     status = EXIT_OK
-    for text in _expressions(args):
-        P = resolve(parse_expr(text))
+    for P in _guarded_posets(args):
         rec = verify_identity(finite_form_identity(P, args.guard), ctx)
         _emit(args,
               [f"lhs: {rec.lhs_description}",
@@ -205,16 +211,14 @@ def _cmd_zeta_identity(args):
 
 def _cmd_inverse_sum(args):
     mode = "weak" if args.weak else "strict"
-    for text in _expressions(args):
-        P = resolve(parse_expr(text))
+    for P in _guarded_posets(args):
         value = inverse_power_sum(P, args.r, mode, args.guard)
         _emit(args, [str(value)], {"value": str(value), "mode": mode})
     return EXIT_OK
 
 
 def _cmd_eval(args):
-    for text in _expressions(args):
-        P = resolve(parse_expr(text))
+    for P in _guarded_posets(args):
         s = count_maps(P, args.at, "strict", args.guard)
         w = count_maps(P, args.at, "weak", args.guard)
         _emit(args,

@@ -1,71 +1,83 @@
 """Counting order-preserving maps, inclusion-exclusion d-vectors, and
 reciprocity checking.
 
-One engine counts: a DP over the lattice of downsets.  A strict map into
-the n-chain is a chain of downsets whose successive differences are
-antichains, so |P| DP steps give Omega_strict(P, 0..|P|) and, by
-inclusion-exclusion, the d-vector.  Every map count is then an evaluation
-of the order polynomial built from the d-vector; the weak count follows by
-reciprocity.  The literal counters (backtracking along a linear extension,
-subset sums over downset multichains) live in ``tests/oracles.py`` as
-independent referees.
+One engine counts: the d-vector, d_i = the number of strict surjections
+P -> chain(i), which is both the strict order polynomial over {C(x, i)}
+and the strict order series over Z_i.  It is read off the series-parallel
+decomposition of P (``poset.decompose``), as the paper's operad does: a
+disjoint union multiplies its parts' vectors by the Hadamard product
+(``polynomials.cup_coeffs``), an ordinal sum by the ordinal product
+(``polynomials.ordinal_coeffs``).  Only a point or a prime piece, which
+neither operation splits, runs the DP over its downsets, which are
+enumerated in time proportional to their number (``poset.downsets``).
+Every map count is then an evaluation of the order polynomial; the weak
+count follows by reciprocity.  The literal counters (backtracking along a
+linear extension, subset sums over downset multichains) live in
+``tests/oracles.py`` as independent referees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 
 from .errors import EnumerationGuard, PosetOperadError
-from .polynomials import BinomialPoly, weak_sign_flip
-from .poset import Poset, _bits, max_chain_length
+from .polynomials import (BinomialPoly, cup_coeffs, ordinal_coeffs,
+                          weak_sign_flip)
+from .poset import Poset, _bits, decompose, downsets, max_chain_length
 
 DEFAULT_GUARD = 12
 
 
-def _check_guard(P, guard):
-    if len(P) > guard:
-        raise EnumerationGuard(f"|P| = {len(P)} exceeds enumeration guard {guard}")
+def check_guard(size, guard):
+    """Refuse to count on a poset of more than ``guard`` elements."""
+    if size > guard:
+        raise EnumerationGuard(f"|P| = {size} exceeds enumeration guard {guard}")
 
 
-@lru_cache(maxsize=None)
-def _downsets(P: Poset):
-    """All downset bitmasks of P, ascending by popcount."""
-    n = len(P)
-    masks = [m for m in range(1 << n)
-             if all(P.below_mask(i) & ~m == 0 for i in _bits(m))]
-    masks.sort(key=lambda m: (m.bit_count(), m))
-    return tuple(masks)
+def _prime_coeffs(below, mask):
+    """{i: d_i} of the piece on ``mask`` by the downset DP.
 
-
-@lru_cache(maxsize=None)
-def _strict_transitions(P: Poset):
-    """For each downset D: positions of the downsets D \\ S with S any subset
-    of the maximal elements of D (each such S is an antichain)."""
-    masks = _downsets(P)
-    pos = {m: t for t, m in enumerate(masks)}
-    trans = []
-    for m in masks:
-        mx = 0
+    f_D(x) = sum_i x^i (number of chains of i+1 downsets from the empty
+    one to D whose successive differences are nonempty antichains), so
+    f_D = x * sum_S f_(D - S) over the nonempty sets S of maximal elements
+    of D, and d_i is the coefficient of x^i in f_P.  Each f_D is held at
+    x = 2^B: no coefficient reaches 2^B, so the digits do not carry and one
+    integer addition adds whole polynomials.
+    """
+    k = mask.bit_count()
+    B = (k ** k).bit_length()  # coefficients count surjections, <= k^k
+    f = {0: 1}
+    for m in downsets(below, mask)[1:]:  # ascending: each D - S comes first
+        covered = 0
         for i in _bits(m):
-            if P.above_mask(i) & m == 0:
-                mx |= 1 << i
-        preds = []
-        s = mx
-        while True:
-            preds.append(pos[m ^ s])
-            if s == 0:
-                break
-            s = (s - 1) & mx
-        trans.append(tuple(preds))
-    return trans
+            covered |= below[i]
+        top = m & ~covered
+        total = 0
+        s = top
+        while s:
+            total += f[m ^ s]
+            s = (s - 1) & top
+        f[m] = total << B
+    digit = (1 << B) - 1
+    return {i: f[mask] >> (B * i) & digit for i in range(1, k + 1)}
+
+
+def _strict_coeffs(below, tree):
+    """{i: d_i} of the subposet a decomposition tree describes: products
+    of the parts' vectors, and the DP on points and prime pieces."""
+    if isinstance(tree, int):
+        return _prime_coeffs(below, tree)
+    op, parts = tree
+    product = cup_coeffs if op == "|" else ordinal_coeffs
+    return reduce(product, (_strict_coeffs(below, t) for t in parts))
 
 
 def count_maps(P, n, mode="strict", guard=DEFAULT_GUARD):
     """Number of maps P -> chain(n) preserving order strictly or weakly:
     the order polynomial of that mode evaluated at n."""
-    _check_guard(P, guard)
+    check_guard(len(P), guard)
     if n < 0:
         raise ValueError("n must be nonnegative")
     basis = "multiset" if mode == "weak" else "binomial"
@@ -74,7 +86,7 @@ def count_maps(P, n, mode="strict", guard=DEFAULT_GUARD):
 
 def count_strict_surjections(P, m, guard=DEFAULT_GUARD):
     """Strict order-preserving maps from P onto chain(m) (direct search)."""
-    _check_guard(P, guard)
+    check_guard(len(P), guard)
     k = len(P)
     if k == 0:
         return 1 if m == 0 else 0
@@ -137,20 +149,12 @@ class DVector:
 
 @lru_cache(maxsize=None)
 def d_vector(P, guard=DEFAULT_GUARD):
-    """d_i = sum_{j<=i} (-1)^(i-j) C(i,j) Omega_strict(P, j)."""
-    _check_guard(P, guard)
-    k = len(P)
-    trans = _strict_transitions(P)
-    vec = [0] * len(trans)
-    vec[0] = 1  # empty downset after zero value levels
-    counts = [vec[-1]]  # Omega_strict(P, j) for j = 0..k; last downset is P
-    for _ in range(k):
-        vec = [sum(vec[t] for t in preds) for preds in trans]
-        counts.append(vec[-1])
-    d = tuple(sum((-1) ** (i - j) * comb(i, j) * counts[j]
-                  for j in range(i + 1))
-              for i in range(1, k + 1))
-    return DVector(P, d)
+    """d_i = number of strict surjections P -> chain(i), read off the
+    series-parallel decomposition of P (``poset.decompose``)."""
+    check_guard(len(P), guard)
+    below = [P.below_mask(i) for i in range(len(P))]
+    d = _strict_coeffs(below, decompose(P))
+    return DVector(P, tuple(d.get(i, 0) for i in range(1, len(P) + 1)))
 
 
 def order_polynomial(P, mode="strict", guard=DEFAULT_GUARD):

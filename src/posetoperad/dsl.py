@@ -15,6 +15,11 @@ brace literal 'a>b' normalizes to the cover (b, a) before closure.
 Lexicographic application `lit(e1, ..., ek)` binds arguments to the
 literal's labels in first-appearance order; that order is also the slot
 order of the resolved poset.
+
+An expression may nest at most ``MAX_DEPTH`` levels: parentheses and
+argument lists inside each other, and operators over operators (a chain
+``a | b | c`` nests two levels).  Deeper input is a syntax error, so that
+parsing and resolving never exhaust the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from dataclasses import dataclass
 
 from .errors import ArityError, ExprSyntaxError, UnknownName
 from .poset import antichain, chain, construct_poset, lex_sum
+
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -108,9 +115,22 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent; each parse_* method returns (node, depth), the
+    depth of the node's syntax tree, while ``open`` counts the parse_expr
+    calls in progress: the top level and each enclosing parenthesis or
+    argument list."""
+
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
+        self.open = 0
+
+    def check_depth(self, tok, depth):
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(tok.line, tok.col,
+                                  f"at most {MAX_DEPTH} levels of nesting",
+                                  tok.text)
+        return depth
 
     def peek(self):
         return self.toks[self.pos]
@@ -128,26 +148,32 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self):
-        node = self.parse_term()
-        while self.peek().text == "|":
-            self.advance()
-            node = Union(node, self.parse_term())
-        return node
+        self.open += 1
+        self.check_depth(self.peek(), self.open)
+        node_depth = self.parse_chain("|", Union, self.parse_term)
+        self.open -= 1
+        return node_depth
 
     def parse_term(self):
-        node = self.parse_factor()
-        while self.peek().text == "*":
-            self.advance()
-            node = OrdinalSum(node, self.parse_factor())
-        return node
+        return self.parse_chain("*", OrdinalSum, self.parse_factor)
+
+    def parse_chain(self, op_text, node_type, parse_operand):
+        """Operands joined by one left-associative operator."""
+        node, depth = parse_operand()
+        while self.peek().text == op_text:
+            op = self.advance()
+            right, d = parse_operand()
+            node = node_type(node, right)
+            depth = self.check_depth(op, 1 + max(depth, d))
+        return node, depth
 
     def parse_factor(self):
         t = self.peek()
         if t.text == "(":
             self.advance()
-            node = self.parse_expr()
+            node_depth = self.parse_expr()
             self.expect(")")
-            return node
+            return node_depth
         lit = self.parse_literal()
         if self.peek().text == "(":
             open_tok = self.advance()
@@ -161,8 +187,10 @@ class _Parser:
                 raise ArityError(open_tok.line, open_tok.col,
                                  f"literal has {slots} slots, "
                                  f"got {len(args)} arguments")
-            return LexApply(lit, tuple(args))
-        return lit
+            depth = 1 + max(d for _, d in args)
+            return (LexApply(lit, tuple(a for a, _ in args)),
+                    self.check_depth(open_tok, depth))
+        return lit, 1
 
     def parse_literal(self):
         t = self.peek()
@@ -231,7 +259,7 @@ def _literal_arity(lit):
 
 def parse_expr(text):
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     tail = parser.peek()
     if tail.kind != "eof":
         raise ExprSyntaxError(tail.line, tail.col, "end of input", tail.text)
@@ -277,6 +305,25 @@ def _appearance_order(items):
                 seen.add(label)
                 order.append(label)
     return order
+
+
+def element_count(ast):
+    """|P| for the poset an expression denotes, read off the syntax tree
+    without building the poset.  A name raises UnknownName, as in
+    ``resolve``."""
+    if isinstance(ast, (ChainLit, AntichainLit)):
+        return ast.n
+    if isinstance(ast, HasseLit):
+        return len(ast.labels)
+    if isinstance(ast, (Union, OrdinalSum)):
+        return element_count(ast.left) + element_count(ast.right)
+    if isinstance(ast, LexApply):
+        if isinstance(ast.outer, Var):
+            raise UnknownName(ast.outer.name)
+        return sum(element_count(a) for a in ast.args)
+    if isinstance(ast, Var):
+        raise UnknownName(ast.name)
+    raise TypeError(f"not an expression node: {ast!r}")
 
 
 def resolve(ast):

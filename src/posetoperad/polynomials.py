@@ -7,6 +7,9 @@ series over Z_i, so one ``SparseVec`` core serves ``BinomialPoly``,
 ``MonomialPoly`` and ``series.SeriesVec``: cleaning, ==/hash over (basis
 tag, coefficients), +/-/scale within one basis, rendering and the JSON
 coefficient map.  The subclasses add evaluation, basis change and products.
+The Hadamard and ordinal products of strict coefficient maps
+(``cup_coeffs``, ``ordinal_coeffs``) live here too, so that the d-vector
+engine in ``counting`` and the order series in ``series`` share one copy.
 
 Everything here is exact rational arithmetic; no floats.  The memo tables
 live behind ``functools.lru_cache`` and are safe for concurrent readers.
@@ -222,6 +225,37 @@ def _choose_monomial(i, shift):
     for t in range(i):
         out = out * MonomialPoly({1: 1, 0: shift - t})
     return out.scale(Fraction(1, factorial(i)))
+
+
+@lru_cache(maxsize=None)
+def _cup_constants(n, s):
+    """C(x,n) C(x,s) over {C(x,k)} as {k: int}: the Hadamard structural
+    constants Z_n cup Z_s of strict series."""
+    if s > n:
+        n, s = s, n
+    return {n + j: comb(n + j, s) * comb(s, j) for j in range(s + 1)}
+
+
+def cup_coeffs(a, b):
+    """Product of two binomial-basis coefficient maps: the pointwise
+    product of the polynomials, which is the Hadamard product of strict
+    series and the disjoint union of posets."""
+    out = {}
+    for i, u in a.items():
+        for j, v in b.items():
+            for k, m in _cup_constants(i, j).items():
+                out[k] = out.get(k, 0) + u * v * m
+    return out
+
+
+def ordinal_coeffs(a, b):
+    """Convolution Z_i, Z_j -> Z_(i+j) of two coefficient maps: the
+    ordinal product of strict series and the ordinal sum of posets."""
+    out = {}
+    for i, u in a.items():
+        for j, v in b.items():
+            out[i + j] = out.get(i + j, 0) + u * v
+    return out
 
 
 def x_power(n):

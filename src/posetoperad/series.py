@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
 
-from .counting import DEFAULT_GUARD, _check_guard, order_polynomial
+from .counting import DEFAULT_GUARD, check_guard, order_polynomial
 from .errors import (ArityMismatch, CrossCheckMismatch, MissingProvenance,
                      ModeMismatch, UnknownIdentity)
-from .polynomials import MonomialPoly, SparseVec, clean_coeffs, weak_sign_flip
+from .polynomials import (MonomialPoly, SparseVec, clean_coeffs, cup_coeffs,
+                          ordinal_coeffs, weak_sign_flip)
 from .poset import (Poset, chain, disjoint_union, lex_sum, ordinal_sum)
 
 STRICT = "strict"
@@ -145,28 +145,16 @@ def closed_form(S):
     return ClosedForm(coeffs, m + 1, S.mode)
 
 
-@lru_cache(maxsize=None)
-def _cup_constants(n, s):
-    """Hadamard structural constants: Z_n cup Z_s as {index: int}."""
-    if s > n:
-        n, s = s, n
-    return {n + j: comb(n + j, s) * comb(s, j) for j in range(s + 1)}
-
-
 def hadamard(s1, s2):
     """Hadamard product of strict series (coefficient-wise product of the
     underlying power series); realizes disjoint union on provenance."""
     if s1.mode != STRICT or s2.mode != STRICT:
         raise ModeMismatch("hadamard is defined on strict series only")
-    out = {}
-    for i, a in s1.coeffs.items():
-        for j, b in s2.coeffs.items():
-            for k, m in _cup_constants(i, j).items():
-                out[k] = out.get(k, Fraction(0)) + a * b * m
     prov = None
     if s1.provenance is not None and s2.provenance is not None:
         prov = disjoint_union(s1.provenance, s2.provenance)
-    return SeriesVec(STRICT, out, provenance=prov)
+    return SeriesVec(STRICT, cup_coeffs(s1.coeffs, s2.coeffs),
+                     provenance=prov)
 
 
 def ordinal_mul(s1, s2):
@@ -174,14 +162,11 @@ def ordinal_mul(s1, s2):
     the ordinal sum (stacking s1 below s2) on provenance."""
     if s1.mode != STRICT or s2.mode != STRICT:
         raise ModeMismatch("ordinal product is defined on strict series only")
-    out = {}
-    for i, a in s1.coeffs.items():
-        for j, b in s2.coeffs.items():
-            out[i + j] = out.get(i + j, Fraction(0)) + a * b
     prov = None
     if s1.provenance is not None and s2.provenance is not None:
         prov = ordinal_sum(s1.provenance, s2.provenance)
-    return SeriesVec(STRICT, out, provenance=prov)
+    return SeriesVec(STRICT, ordinal_coeffs(s1.coeffs, s2.coeffs),
+                     provenance=prov)
 
 
 def iota(S):
@@ -258,7 +243,7 @@ def operad_eval_series_report(P, args, guard=DEFAULT_GUARD):
     exact_available = all(a.provenance is not None for a in args)
     if exact_available:
         composite = lex_sum(P, [a.provenance for a in args])
-        _check_guard(composite, guard)
+        check_guard(len(composite), guard)
         exact = series_of(composite, STRICT, guard)
         multi = _multilinear_eval(P, args, guard)
         if multi != exact:

@@ -70,6 +70,18 @@ def subset_sum_weak_count(P, n):
     return vec[size - 1]
 
 
+def mask_scan_downsets(P, mask=None):
+    """Downsets of the subposet on ``mask`` (default: all of P), in
+    ascending order, by testing every one of the 2^|P| masks."""
+    k = len(P)
+    if mask is None:
+        mask = (1 << k) - 1
+    return [m for m in range(1 << k)
+            if m & ~mask == 0
+            and all(P.below_mask(i) & mask & ~m == 0
+                    for i in range(k) if m >> i & 1)]
+
+
 def naive_strict_surjections(P, m):
     rel = [(P.index_of(a), P.index_of(b)) for a, b in P.relation]
     full = set(range(m))

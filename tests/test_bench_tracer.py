@@ -34,7 +34,7 @@ def test_tracer_installs_and_sees_vector_layer():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout)
-    for name in ("polynomials.monomial", "series.product",
+    for name in ("counting.d_vector", "polynomials.monomial", "series.product",
                  "series.closed_form", "zeta.zeta_value",
                  "zeta.zeta_value.misses", "zeta.verify.terms"):
         assert calls.get(name, 0) > 0, (name, calls)

@@ -65,7 +65,7 @@ def test_exactly_one_non_sp_class_on_four_points():
     assert d_vector(non_sp[0]).d == (0, 1, 5, 5)
 
 
-def test_series_parallel_matches_induced_zigzag_oracle():
-    for n in range(6):
-        for P in iso_classes(n):
+def test_series_parallel_matches_induced_zigzag_oracle(classes_upto_6):
+    for reps in classes_upto_6.values():
+        for P in reps:
             assert is_series_parallel(P) == (not has_induced_zigzag(P))

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import jsonschema
 import pytest
 
@@ -98,6 +100,37 @@ def test_parse_error_exit_code(capsys):
 def test_guard_exit_code(capsys):
     code, out, err = run(capsys, "poly", "A13")
     assert code == EXIT_GUARD and "guard" in err
+
+
+@pytest.mark.parametrize("text", ["(" * 3000 + "C1" + ")" * 3000,
+                                  "|".join(["C1"] * 3000),
+                                  "C1(" * 3000 + "C1" + ")" * 3000])
+def test_deep_nesting_is_usage_error(capsys, text):
+    code, out, err = run(capsys, "poly", text)
+    assert code == EXIT_USAGE and "levels of nesting" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [["poly", "C4000"], ["series", "C4000"],
+                                  ["eval", "C4000", "--at", "3"],
+                                  ["inverse-sum", "C4000", "--r=2"],
+                                  ["zeta-identity", "C4000"],
+                                  ["poly", "C1000|A1000*{a<b}(C1000,A1000)"]])
+def test_guard_fires_before_the_poset_is_built(capsys, monkeypatch, argv):
+    def refuse(ast):
+        raise AssertionError("poset built despite the guard")
+    monkeypatch.setattr("posetoperad.cli.resolve", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_GUARD and out == ""
+    assert err == "error: |P| = 4000 exceeds enumeration guard 12\n"
+
+
+@given(st.text(alphabet="CA{}()<>,*| xyz0123456789\u2294", max_size=40),
+       st.sampled_from([["poly"], ["series", "--weak"], ["eval", "--at", "3"],
+                        ["inverse-sum", "--r=2"], ["zeta-identity"]]))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_expressions_end_in_a_documented_exit_code(text, command):
+    argv = ["--digits", "20", command[0], text, *command[1:]]
+    assert main(argv) in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_GUARD)
 
 
 def test_usage_error_exit_code(capsys):

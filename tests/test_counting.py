@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from posetoperad.counting import (DVector, count_maps,
                                   enumeration_report,
                                   nested_sum_identity_check, order_polynomial,
                                   reciprocity_check)
+from posetoperad.dsl import parse_poset
 from posetoperad.errors import EnumerationGuard, PosetOperadError
 from posetoperad.polynomials import BinomialPoly, MonomialPoly, stirling2
 from posetoperad.poset import (antichain, chain, construct_poset,
@@ -71,6 +73,61 @@ def test_d_vector_examples():
     assert d_vector(comp).d == (0, 0, 3, 11, 9)
     comp2 = lex_sum(zigzag_poset(), [chain(1), chain(2), chain(1), chain(1)])
     assert d_vector(comp2).d == (0, 0, 2, 8, 7)
+
+
+def _d_from_strict_counts(counts):
+    """d_i = sum_j (-1)^(i-j) C(i,j) Omega_strict(j), for i >= 1."""
+    return tuple(sum((-1) ** (i - j) * comb(i, j) * counts[j]
+                     for j in range(i + 1))
+                 for i in range(1, len(counts)))
+
+
+def test_d_vector_matches_backtracking_up_to_six_elements(classes_upto_6):
+    for size, reps in classes_upto_6.items():
+        for P in reps:
+            counts = [backtracking_count_maps(P, n, "strict")
+                      for n in range(size + 1)]
+            assert d_vector(P).d == _d_from_strict_counts(counts)
+
+
+def _random_expr(rng, size):
+    """A random expression on `size` elements built from chains and
+    antichains by |, * and lexicographic sums over the zigzag."""
+    kind = rng.choice(["leaf", "|", "*", "lex"])
+    if size == 1 or kind == "leaf":
+        return f"{rng.choice('CA')}{size}"
+    if kind == "lex" and size >= 4:
+        cuts = sorted(rng.sample(range(1, size), 3))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [size])]
+        args = ",".join(_random_expr(rng, p) for p in parts)
+        return f"{{x<y,z<y,z<w}}({args})"
+    left = rng.randint(1, size - 1)
+    op = "|" if kind == "|" else "*"
+    return f"({_random_expr(rng, left)}{op}{_random_expr(rng, size - left)})"
+
+
+def test_d_vector_matches_backtracking_on_random_expressions():
+    # counts grow like n^|P|, so each mode stops once a count passes 2000
+    rng = random.Random(20240518)
+    for _ in range(30):
+        text = _random_expr(rng, rng.randint(4, 10))
+        P = parse_poset(text)
+        for mode, basis in (("strict", "binomial"), ("weak", "multiset")):
+            poly = order_polynomial(P, mode)
+            for n in range(len(P) + 1):
+                count = backtracking_count_maps(P, n, mode)
+                assert poly.eval(n, basis) == count, (text, mode, n)
+                if count > 2000:
+                    break
+
+
+def test_d_vector_closed_forms_past_the_old_reach():
+    dv = d_vector(antichain(40), guard=40)
+    assert dv.d == tuple(factorial(k) * stirling2(40, k)
+                         for k in range(1, 41))
+    # linear extensions of C30 | A6: places of the 6 free points among 36
+    assert d_vector(parse_poset("C30 | A6"), guard=36).d[-1] == (
+        factorial(36) // factorial(30))
 
 
 def test_d_vector_is_surjection_count(classes_upto_4):

@@ -5,11 +5,11 @@ import pytest
 from posetoperad.errors import (ArityMismatch, CycleDetected, DuplicateLabel,
                                 UnknownLabel)
 from posetoperad.poset import (Poset, antichain, chain, construct_poset,
-                               disjoint_union, lex_sum, max_chain_length,
-                               ordinal_sum, tropical_eval)
+                               decompose, disjoint_union, downsets, lex_sum,
+                               max_chain_length, ordinal_sum, tropical_eval)
 from posetoperad.series import zigzag_poset
 
-from oracles import naive_max_chain
+from oracles import mask_scan_downsets, naive_max_chain
 
 
 def labeled_dag(draw, max_size=5):
@@ -155,3 +155,39 @@ def test_disjoint_union_shape():
     U = disjoint_union(chain(2), chain(1))
     assert len(U) == 3
     assert U.index_pairs() == {(0, 1)}
+
+
+def test_downsets_match_mask_scan(classes_upto_6):
+    for P in classes_upto_6[6]:
+        below = [P.below_mask(i) for i in range(6)]
+        assert downsets(below, 0b111111) == mask_scan_downsets(P)
+        for mask in (0b101101, 0b011110, 0b110011):
+            assert downsets(below, mask) == mask_scan_downsets(P, mask)
+
+
+def _tree_mask(P, tree):
+    """The elements a decomposition tree covers; asserts each split."""
+    if isinstance(tree, int):
+        return tree
+    op, parts = tree
+    masks = [_tree_mask(P, part) for part in parts]
+    for lo in range(len(masks)):
+        for hi in range(lo + 1, len(masks)):
+            for i in range(len(P)):
+                if not masks[lo] >> i & 1:
+                    continue
+                related = P.above_mask(i) | P.below_mask(i)
+                if op == "|":
+                    assert related & masks[hi] == 0
+                else:
+                    assert P.above_mask(i) & masks[hi] == masks[hi]
+    return sum(masks)
+
+
+def test_decompose_splits_hold(classes_upto_6):
+    for reps in classes_upto_6.values():
+        for P in reps:
+            assert _tree_mask(P, decompose(P)) == (1 << len(P)) - 1
+    assert decompose(ordinal_sum(antichain(2), chain(1))) == (
+        "*", (("|", (1, 2)), 4))
+    assert decompose(zigzag_poset()) == 0b1111
