@@ -7,6 +7,10 @@ tables, verify-suite.  Expressions use the DSL grammar in
 Exit codes: 0 all good, 1 verification failure (also an error bound above
 the tolerance, or stdout closed early), 2 usage or parse error,
 3 enumeration guard exceeded.
+
+Start-up stays proportional to the subcommand: module scope imports what
+every path needs, and each command imports the rest when it runs, so
+``poly`` never loads mpmath or the zeta layer.
 """
 
 from __future__ import annotations
@@ -18,25 +22,13 @@ import os
 import sys
 from fractions import Fraction
 
-from mpmath import nstr
-
-from .counting import (DEFAULT_GUARD, check_guard, count_maps,
-                       enumeration_report, order_polynomial,
-                       reciprocity_check)
-from .discrepancies import known_discrepancies
+from .counting import DEFAULT_GUARD, check_guard
 from .dsl import element_count, parse_expr, resolve
 from .errors import (ArityError, ArityMismatch, CycleDetected,
                      DivergentParameter, DuplicateLabel, EnumerationGuard,
                      ExprSyntaxError, PosetOperadError,
                      PrecisionUnachievable, UnknownLabel, UnknownName)
-from .polynomials import eulerian_number, stirling2
-from .poset import antichain, chain, max_chain_length, tropical_eval
 from .schema import SCHEMA_VERSION
-from .series import closed_form, series_of
-from .zeta import (PrecisionContext, alternating_unit_record,
-                   binomial_shift_record, entry22_check,
-                   finite_form_identity, goldbach_record, inverse_power_sum,
-                   verify_identity)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -135,6 +127,7 @@ def build_parser():
 
 
 def _ctx(args):
+    from .zeta import PrecisionContext
     return PrecisionContext(working_digits=args.digits,
                             verify_tolerance=args.tolerance,
                             series_term_cap=args.term_cap)
@@ -165,6 +158,7 @@ def _guarded_posets(args):
 
 
 def _cmd_poly(args):
+    from .counting import enumeration_report, order_polynomial
     status = EXIT_OK
     for P in _guarded_posets(args):
         report = enumeration_report(P, args.guard)
@@ -181,6 +175,7 @@ def _cmd_poly(args):
 
 
 def _cmd_series(args):
+    from .series import closed_form, series_of
     for P in _guarded_posets(args):
         S = series_of(P, args.mode, args.guard)
         cf = closed_form(S)
@@ -193,6 +188,9 @@ def _cmd_series(args):
 
 
 def _cmd_zeta_identity(args):
+    from mpmath import nstr
+
+    from .zeta import finite_form_identity, verify_identity
     ctx = _ctx(args)
     status = EXIT_OK
     for P in _guarded_posets(args):
@@ -210,6 +208,7 @@ def _cmd_zeta_identity(args):
 
 
 def _cmd_inverse_sum(args):
+    from .series import inverse_power_sum
     mode = "weak" if args.weak else "strict"
     for P in _guarded_posets(args):
         value = inverse_power_sum(P, args.r, mode, args.guard)
@@ -218,6 +217,7 @@ def _cmd_inverse_sum(args):
 
 
 def _cmd_eval(args):
+    from .counting import count_maps
     for P in _guarded_posets(args):
         s = count_maps(P, args.at, "strict", args.guard)
         w = count_maps(P, args.at, "weak", args.guard)
@@ -229,15 +229,18 @@ def _cmd_eval(args):
 
 
 def _cmd_tropical(args):
+    from .poset import check_lengths, tropical_eval
     lengths = [int(t) for t in args.lengths.split(",") if t != ""]
     for text in _expressions(args):
-        P = resolve(parse_expr(text))
-        v = tropical_eval(P, lengths)
+        ast = parse_expr(text)
+        check_lengths(element_count(ast), lengths)  # before the poset is built
+        v = tropical_eval(resolve(ast), lengths)
         _emit(args, [str(v)], {"value": v, "lengths": lengths})
     return EXIT_OK
 
 
 def _cmd_tables(args):
+    from .polynomials import eulerian_number, stirling2
     if args.eulerian is not None:
         n_max = args.eulerian
         rows = {str(n): [eulerian_number(n, i) for i in range(n)] or [1]
@@ -255,6 +258,14 @@ def _cmd_tables(args):
 
 def _suite_cases(args):
     """The identity battery; ids sort the report order."""
+    from mpmath import nstr
+
+    from .counting import reciprocity_check
+    from .discrepancies import known_discrepancies
+    from .poset import antichain, chain
+    from .series import series_of
+    from .zeta import (alternating_unit_record, binomial_shift_record,
+                       entry22_check, goldbach_record, verify_identity)
     ctx = _ctx(args)
     cases = []
 

@@ -276,15 +276,20 @@ def max_chain_length(P):
     return max(best, default=0)
 
 
+def check_lengths(size, lengths):
+    """One slot length per element of a poset of the given size."""
+    if len(lengths) != size:
+        raise ArityMismatch(
+            f"poset has {size} slots, got {len(lengths)} lengths")
+
+
 def tropical_eval(P, lengths):
     """max over chains of P of the sum of the chain's slot lengths.
 
     Equals max_chain_length(lex_sum(P, [chain(l) for l in lengths])).
     """
     lengths = list(lengths)
-    if len(lengths) != len(P):
-        raise ArityMismatch(
-            f"poset has {len(P)} slots, got {len(lengths)} lengths")
+    check_lengths(len(P), lengths)
     best = [0] * len(P)
     for i in _topo_indices(P):
         best[i] = lengths[i] + max(

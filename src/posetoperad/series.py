@@ -1,5 +1,6 @@
 """Order series over the inclusion-exclusion basis, with Hadamard and
-ordinal products, the strict/weak involution, and the operadic action.
+ordinal products, the strict/weak involution, the operadic action, and
+exact inverse-power sums.
 
 A strict series is a coefficient vector over Z_i = x^i/(1-x)^(i+1), a weak
 series over Z+_i = x/(1-x)^(i+1); index 0 holds the units 1/(1-x) and
@@ -18,8 +19,8 @@ from functools import lru_cache
 from itertools import product
 
 from .counting import DEFAULT_GUARD, check_guard, order_polynomial
-from .errors import (ArityMismatch, CrossCheckMismatch, MissingProvenance,
-                     ModeMismatch, UnknownIdentity)
+from .errors import (ArityMismatch, CrossCheckMismatch, DivergentParameter,
+                     MissingProvenance, ModeMismatch, UnknownIdentity)
 from .polynomials import (MonomialPoly, SparseVec, clean_coeffs, cup_coeffs,
                           ordinal_coeffs, weak_sign_flip)
 from .poset import (Poset, chain, disjoint_union, lex_sum, ordinal_sum)
@@ -92,6 +93,17 @@ def series_of(P, mode=STRICT, guard=DEFAULT_GUARD):
     for weak); the empty poset gives the unit."""
     return SeriesVec(mode, order_polynomial(P, mode, guard).coeffs,
                      provenance=P)
+
+
+def inverse_power_sum(P, r, mode=STRICT, guard=DEFAULT_GUARD):
+    """Exact value of sum_n Omega(P, n) / r^n for |r| > 1, in either mode.
+
+    Evaluates the order series basiswise at x = 1/r.
+    """
+    r = Fraction(r)
+    if abs(r) <= 1:
+        raise DivergentParameter(f"need |r| > 1, got {r}")
+    return series_of(P, mode, guard).eval_at(1 / r)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
                      PosetOperadError, PrecisionUnachievable)
 from .polynomials import BinomialPoly, clean_coeffs, render_sum
 from .poset import Poset, chain, lex_sum, max_chain_length
-from .series import STRICT, SeriesVec, series_of
+# inverse_power_sum lives in series, next to SeriesVec.eval_at; it is bound
+# here too, so `from posetoperad.zeta import inverse_power_sum` keeps working
+from .series import STRICT, SeriesVec, inverse_power_sum
 
 
 @dataclass(frozen=True)
@@ -386,17 +388,6 @@ def _ffe_rhs(P, r, guard):
     dv = d_vector(P, guard)
     return sum((Fraction((-1) ** (i + 1)) * v / (1 + r) ** (i + 1)
                 for i, v in enumerate(dv.d, start=1)), Fraction(0))
-
-
-def inverse_power_sum(P, r, mode="strict", guard=DEFAULT_GUARD):
-    """Exact value of sum_n Omega(P, n) / r^n for |r| > 1, in either mode.
-
-    Evaluates the order series basiswise at x = 1/r.
-    """
-    r = Fraction(r)
-    if abs(r) <= 1:
-        raise DivergentParameter(f"need |r| > 1, got {r}")
-    return series_of(P, mode, guard).eval_at(1 / r)
 
 
 def inverse_power_sum_partial(P, r, terms, mode="strict", guard=DEFAULT_GUARD):

@@ -4,10 +4,7 @@ with its runtime so the suite doubles as a report."""
 import time
 from fractions import Fraction
 
-import pytest
-
-from posetoperad.catalog import iso_classes
-from posetoperad.counting import count_maps, d_vector, reciprocity_check
+from posetoperad.counting import d_vector, reciprocity_check
 from posetoperad.discrepancies import known_discrepancies
 from posetoperad.dsl import parse_poset
 from posetoperad.polynomials import (binomial, eulerian_number, stirling2,

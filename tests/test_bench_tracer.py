@@ -38,3 +38,29 @@ def test_tracer_installs_and_sees_vector_layer():
                  "series.closed_form", "zeta.zeta_value",
                  "zeta.zeta_value.misses", "zeta.verify.terms"):
         assert calls.get(name, 0) > 0, (name, calls)
+
+
+CLI_SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from posetoperad import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["inverse-sum", "A3", "--r=3"]) == 0
+    assert cli.main(["series", "{x<y,z<y,z<w}", "--weak"]) == 0
+print(json.dumps(tracer.summary()["calls"]))
+"""
+
+
+def test_tracer_sees_the_cli_commands_imports():
+    # the commands import their functions when they run, after install()
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_SCRIPT, str(ROOT / "perfbench"),
+         str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert calls.get("zeta.inverse_power_sum") == 1, calls
+    assert calls.get("series.series_of") == 2, calls

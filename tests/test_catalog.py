@@ -1,8 +1,7 @@
 import random
 
 from posetoperad.catalog import (canonical_key, is_series_parallel,
-                                 iso_classes, labeled_masks, labeled_posets,
-                                 poset_from_masks)
+                                 iso_classes, labeled_masks, labeled_posets)
 from posetoperad.counting import d_vector
 from posetoperad.poset import Poset, antichain, chain, ordinal_sum
 from posetoperad.series import zigzag_poset

@@ -124,6 +124,15 @@ def test_guard_fires_before_the_poset_is_built(capsys, monkeypatch, argv):
     assert err == "error: |P| = 4000 exceeds enumeration guard 12\n"
 
 
+def test_tropical_arity_checked_before_the_poset_is_built(capsys, monkeypatch):
+    def refuse(ast):
+        raise AssertionError("poset built despite the arity mismatch")
+    monkeypatch.setattr("posetoperad.cli.resolve", refuse)
+    code, out, err = run(capsys, "tropical", "C1500", "--lengths", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: poset has 1500 slots, got 1 lengths\n"
+
+
 @given(st.text(alphabet="CA{}()<>,*| xyz0123456789\u2294", max_size=40),
        st.sampled_from([["poly"], ["series", "--weak"], ["eval", "--at", "3"],
                         ["inverse-sum", "--r=2"], ["zeta-identity"]]))

@@ -19,9 +19,8 @@ from posetoperad.counting import (DVector, count_maps,
 from posetoperad.dsl import parse_poset
 from posetoperad.errors import EnumerationGuard, PosetOperadError
 from posetoperad.polynomials import BinomialPoly, MonomialPoly, stirling2
-from posetoperad.poset import (antichain, chain, construct_poset,
-                               disjoint_union, lex_sum, max_chain_length,
-                               ordinal_sum)
+from posetoperad.poset import (antichain, chain, construct_poset, lex_sum,
+                               max_chain_length, ordinal_sum)
 from posetoperad.series import zigzag_poset
 
 from oracles import (backtracking_count_maps, naive_count_maps,

@@ -9,7 +9,7 @@ from posetoperad.errors import (ArityMismatch, MissingProvenance,
                                 ModeMismatch, UnknownIdentity)
 from posetoperad.polynomials import eulerian_polynomial
 from posetoperad.poset import (antichain, chain, construct_poset,
-                               disjoint_union, lex_sum, ordinal_sum)
+                               disjoint_union, ordinal_sum)
 from posetoperad.series import (SeriesVec, basis_series, closed_form,
                                 hadamard, iota, operad_eval_series,
                                 operad_eval_series_report, ordinal_mul,

@@ -14,7 +14,7 @@ from posetoperad.errors import (ArityMismatch, DivergentParameter,
 from posetoperad.polynomials import BinomialPoly, bernoulli_number, x_power
 from posetoperad.poset import antichain, chain, lex_sum, ordinal_sum
 from posetoperad.series import zigzag_poset
-from posetoperad.zeta import (DEFAULT_CTX, IdentityRecord, PrecisionContext,
+from posetoperad.zeta import (DEFAULT_CTX, PrecisionContext,
                               ZetaExpr, _borwein_weights,
                               _zeta_minus_one_cached,
                               alternating_unit_record, binomial_shift_record,
