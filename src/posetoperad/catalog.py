@@ -49,15 +49,7 @@ def labeled_masks(n):
 
 
 def poset_from_masks(down):
-    labels = [str(i + 1) for i in range(len(down))]
-    rel = {(labels[j], labels[i])
-           for i in range(len(down)) for j in _bits(down[i])}
-    return Poset(labels, rel)
-
-
-def labeled_posets(n):
-    for down in labeled_masks(n):
-        yield poset_from_masks(down)
+    return Poset([str(i + 1) for i in range(len(down))], down)
 
 
 def _refined_colors(n, pairs):
@@ -112,7 +104,7 @@ def iso_classes(n):
     """One canonical representative per isomorphism class of n-element
     posets, generated by extending the (n-1)-element representatives."""
     if n == 0:
-        return (Poset((), frozenset()),)
+        return (Poset((), ()),)
     reps = {}
     for smaller in iso_classes(n - 1):
         down = tuple(smaller.below_mask(i) for i in range(n - 1))

@@ -62,7 +62,8 @@ def _arg_type(convert, ok, requirement):
     return parse
 
 
-_digits = _arg_type(int, lambda v: v >= 1, "need an integer >= 1")
+_positive = _arg_type(int, lambda v: v >= 1, "need an integer >= 1")
+_nonnegative = _arg_type(int, lambda v: v >= 0, "need an integer >= 0")
 _tolerance = _arg_type(float, lambda v: 0 < v < math.inf,
                        "need a finite number > 0")
 _ratio = _arg_type(Fraction, lambda v: True, "need a rational number")
@@ -74,14 +75,14 @@ def build_parser():
         description="order polynomials, order series, and rational zeta "
                     "identities for finite posets")
     # a string default goes through the same type check as the flag
-    p.add_argument("--digits", type=_digits,
+    p.add_argument("--digits", type=_positive,
                    default=os.environ.get("POSETOPERAD_DIGITS", "50"),
                    help="working precision in decimal digits")
     p.add_argument("--tolerance", type=_tolerance, default=1e-12,
                    help="numeric verification tolerance")
-    p.add_argument("--term-cap", type=int, default=4000,
+    p.add_argument("--term-cap", type=_positive, default=4000,
                    help="cap on summed series terms")
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
+    p.add_argument("--guard", type=_nonnegative, default=DEFAULT_GUARD,
                    help="enumeration guard on poset size")
     p.add_argument("--format", choices=("human", "json"), default="human")
     sub = p.add_subparsers(dest="command", required=True)
@@ -366,6 +367,12 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # before Python 3.13 argparse reads "--flag=--" as [] and skips the
+        # type check; no option here takes a list
+        for dest, value in vars(args).items():
+            if value == []:
+                parser.error(f"argument --{dest.replace('_', '-')}: "
+                             "expected one argument")
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:

@@ -25,7 +25,8 @@ from math import comb
 from .errors import EnumerationGuard, PosetOperadError
 from .polynomials import (BinomialPoly, cup_coeffs, ordinal_coeffs,
                           weak_sign_flip)
-from .poset import Poset, _bits, decompose, downsets, max_chain_length
+from .poset import (Poset, _bits, chain, decompose, downsets,
+                    max_chain_length)
 
 DEFAULT_GUARD = 12
 
@@ -139,10 +140,6 @@ class DVector:
             raise PosetOperadError(f"top entry must count linear extensions "
                                    f"(>= 1): {self.d}")
 
-    def triangulation_profile(self):
-        """dimension -> simplex count, highest dimension first."""
-        return {i + 1: v for i, v in sorted(enumerate(self.d), reverse=True) if v}
-
     def to_json_dict(self):
         return {"poset": self.poset.to_json_dict(), "d": list(self.d)}
 
@@ -224,8 +221,6 @@ def nested_sum_identity_check(n, k, q):
         if depth == 0:
             return 1
         return sum(nested(depth - 1, i) for i in range(q, hi + 1))
-
-    from .poset import chain  # local import to keep module top light
 
     b = comb(n + k - q, k)
     s = nested(k, n)

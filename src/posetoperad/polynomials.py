@@ -268,13 +268,6 @@ def weak_sign_flip(coeffs, k):
     return {i: v if (k - i) % 2 == 0 else -v for i, v in coeffs.items()}
 
 
-def poly_from_json(d):
-    cls = {"binomial": BinomialPoly, "monomial": MonomialPoly}.get(d["basis"])
-    if cls is None:
-        raise ValueError(f"unknown basis {d['basis']!r}")
-    return cls(SparseVec.coeffs_from_json(d))
-
-
 @lru_cache(maxsize=None)
 def stirling2(n, k):
     """Stirling number of the second kind S(n, k)."""

@@ -1,9 +1,13 @@
 """Finite posets, canonical families, and the lexicographic-sum composition.
 
-Elements are string labels.  The element list order is the canonical slot
-order: when a poset acts as an operation, ``lex_sum`` binds its i-th
-argument to the i-th declared element.  Relations are stored transitively
-closed; values are immutable after construction and safe to share.
+A poset is stored as one tuple of bitmasks: bit j of ``below[i]`` is set
+when element j lies strictly below element i, and the masks are transitively
+closed.  Everything else (the up-masks, the label pairs of ``relation``, the
+cover pairs) is read off them.  Elements carry string labels, which are for
+presentation only; the element list order is the canonical slot order: when
+a poset acts as an operation, ``lex_sum`` binds its i-th argument to the
+i-th declared element.  Values are immutable after construction and safe to
+share.
 """
 
 from __future__ import annotations
@@ -35,28 +39,27 @@ def _close_masks(below):
 
 
 class Poset:
-    """Immutable strict partial order; the relation is transitively closed.
+    """Immutable strict partial order on labeled elements.
 
-    Use :func:`construct_poset` to build from cover pairs with validation;
-    the raw constructor trusts its input.
+    The one relation store is ``_below``, the transitively closed
+    strict-below bitmask of each element, indexed like ``elements``; the
+    labels only name the elements in output.  Use :func:`construct_poset`
+    to build from cover pairs with validation; the raw constructor
+    ``Poset(elements, below)`` trusts its masks to be closed and acyclic.
     """
 
-    __slots__ = ("elements", "relation", "_index", "_below", "_above",
-                 "_hash", "_covers")
+    __slots__ = ("elements", "_below", "_above", "_hash", "_covers")
 
-    def __init__(self, elements, relation):
+    def __init__(self, elements, below):
         self.elements = tuple(elements)
-        self.relation = frozenset(relation)
-        idx = {a: i for i, a in enumerate(self.elements)}
-        self._index = idx
-        below = [0] * len(self.elements)
-        above = [0] * len(self.elements)
-        for a, b in self.relation:
-            below[idx[b]] |= 1 << idx[a]
-            above[idx[a]] |= 1 << idx[b]
         self._below = tuple(below)
+        above = [0] * len(self._below)
+        for i, m in enumerate(self._below):
+            bit = 1 << i
+            for j in _bits(m):
+                above[j] |= bit
         self._above = tuple(above)
-        self._hash = hash((self.elements, self.relation))
+        self._hash = hash((self.elements, self._below))
         self._covers = None
 
     def __len__(self):
@@ -65,7 +68,7 @@ class Poset:
     def __eq__(self, other):
         return (isinstance(other, Poset)
                 and self.elements == other.elements
-                and self.relation == other.relation)
+                and self._below == other._below)
 
     def __hash__(self):
         return self._hash
@@ -73,11 +76,11 @@ class Poset:
     def __repr__(self):
         return f"Poset({self.relation_string()})"
 
-    def less(self, a, b):
-        return (a, b) in self.relation
-
-    def index_of(self, label):
-        return self._index[label]
+    @property
+    def relation(self):
+        """The closed relation as (lower label, upper label) pairs."""
+        e = self.elements
+        return frozenset((e[a], e[b]) for a, b in self.index_pairs())
 
     def below_mask(self, i):
         """Bitmask of indices strictly below element i."""
@@ -87,20 +90,17 @@ class Poset:
         return self._above[i]
 
     def index_pairs(self):
-        idx = self._index
-        return frozenset((idx[a], idx[b]) for a, b in self.relation)
+        return frozenset((j, i) for i, m in enumerate(self._below)
+                         for j in _bits(m))
 
     def covers(self):
         """Cover pairs (transitive reduction), sorted by element indices."""
         if self._covers is None:
-            out = []
-            for a, b in self.relation:
-                ia, ib = self._index[a], self._index[b]
-                # a < b is a cover unless something sits strictly between
-                if not (self._below[ib] & self._above[ia]):
-                    out.append((a, b))
-            out.sort(key=lambda p: (self._index[p[0]], self._index[p[1]]))
-            self._covers = tuple(out)
+            e, below = self.elements, self._below
+            # a < b is a cover unless something sits strictly between
+            self._covers = tuple((e[a], e[b])
+                                 for a, up in enumerate(self._above)
+                                 for b in _bits(up) if not below[b] & up)
         return self._covers
 
     def relation_string(self):
@@ -146,20 +146,17 @@ def construct_poset(labels, covers):
             # the cycle through i: elements both below and above i
             cycle = [labels[j] for j in _bits(m) if below[j] >> i & 1]
             raise CycleDetected("cycle among " + ", ".join(cycle))
-    rel = {(labels[j], labels[i])
-           for i in range(len(labels)) for j in _bits(below[i])}
-    return Poset(labels, rel)
+    return Poset(labels, below)
 
 
 def chain(n):
     """The chain 1 < 2 < ... < n; n = 0 gives the empty poset."""
-    labels = [str(i + 1) for i in range(n)]
-    return construct_poset(labels, [(labels[i], labels[i + 1])
-                                    for i in range(n - 1)])
+    return Poset([str(i + 1) for i in range(n)],
+                 [(1 << i) - 1 for i in range(n)])
 
 
 def antichain(n):
-    return construct_poset([str(i + 1) for i in range(n)], [])
+    return Poset([str(i + 1) for i in range(n)], [0] * n)
 
 
 def lex_sum(outer, inner):
@@ -167,28 +164,31 @@ def lex_sum(outer, inner):
 
     Composite labels are namespaced "slotLabel.innerLabel"; two composite
     elements are related iff they lie in one block and are related there,
-    or their blocks sit on related outer slots.
+    or their blocks sit on related outer slots.  So an element of block i
+    has below it its block's own down-mask, shifted to the block's offset,
+    and the full spans of the blocks on the slots below i.
     """
     inner = list(inner)
     if len(inner) != len(outer):
         raise ArityMismatch(
             f"outer poset has {len(outer)} slots, got {len(inner)} arguments")
-    labels = []
-    blocks = []
-    rel = set()
-    for slot, block_poset in zip(outer.elements, inner):
-        block = [f"{slot}.{e}" for e in block_poset.elements]
-        blocks.append(block)
-        labels.extend(block)
-        rel.update((f"{slot}.{a}", f"{slot}.{b}")
-                   for a, b in block_poset.relation)
+    labels = [f"{slot}.{e}" for slot, block in zip(outer.elements, inner)
+              for e in block.elements]
     if len(set(labels)) != len(labels):
         raise DuplicateLabel("label collision after namespacing")
-    for a, b in outer.relation:
-        ia, ib = outer.index_of(a), outer.index_of(b)
-        rel.update((x, y) for x in blocks[ia] for y in blocks[ib])
-    # union of closed blocks plus full cross pairs is already closed
-    return Poset(labels, rel)
+    spans, offset = [], 0
+    for block in inner:
+        spans.append(((1 << len(block)) - 1) << offset)
+        offset += len(block)
+    below = []
+    for i, block in enumerate(inner):
+        under = 0
+        for j in _bits(outer.below_mask(i)):
+            under |= spans[j]
+        offset = len(below)  # where block i starts
+        below.extend(under | m << offset for m in block._below)
+    # union of closed blocks plus full cross spans is already closed
+    return Poset(labels, below)
 
 
 def disjoint_union(*posets):

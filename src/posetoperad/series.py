@@ -23,7 +23,8 @@ from .errors import (ArityMismatch, CrossCheckMismatch, DivergentParameter,
                      MissingProvenance, ModeMismatch, UnknownIdentity)
 from .polynomials import (MonomialPoly, SparseVec, clean_coeffs, cup_coeffs,
                           ordinal_coeffs, weak_sign_flip)
-from .poset import (Poset, chain, disjoint_union, lex_sum, ordinal_sum)
+from .poset import (Poset, chain, construct_poset, disjoint_union, lex_sum,
+                    ordinal_sum)
 
 STRICT = "strict"
 WEAK = "weak"
@@ -126,19 +127,6 @@ class ClosedForm:
         if nums and nums[0] != 0:
             raise ValueError("weak closed form should have no constant term")
         return tuple(nums[1:])
-
-    def expand(self, terms):
-        """First `terms` power-series coefficients (exact)."""
-        from .polynomials import binomial
-        p = self.den_power
-        out = []
-        for t in range(terms):
-            acc = Fraction(0)
-            for j, c in enumerate(self.numerator):
-                if j <= t:
-                    acc += c * binomial(t - j + p - 1, p - 1)
-            out.append(acc)
-        return out
 
     def to_json_dict(self):
         return {"numerator": [str(c) for c in self.numerator],
@@ -320,7 +308,6 @@ def _check_differential_cup(s, p, q):
 
 def zigzag_poset():
     """The 4-element zigzag {x<y, z<y, z<w} in slot order x, y, z, w."""
-    from .poset import construct_poset
     return construct_poset(["x", "y", "z", "w"],
                            [("x", "y"), ("z", "y"), ("z", "w")])
 

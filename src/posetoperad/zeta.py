@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from mpmath import libmp, mp, mpf, nstr
 
-from .counting import DEFAULT_GUARD, d_vector, order_polynomial
+from .counting import DEFAULT_GUARD, count_maps, d_vector, order_polynomial
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
                      PosetOperadError, PrecisionUnachievable)
 from .polynomials import BinomialPoly, clean_coeffs, render_sum
@@ -393,7 +393,6 @@ def _ffe_rhs(P, r, guard):
 def inverse_power_sum_partial(P, r, terms, mode="strict", guard=DEFAULT_GUARD):
     """Direct partial sum with an exact geometric tail majorant; returns
     (partial, tail_bound).  Used as the independent referee in tests."""
-    from .counting import count_maps
     r = Fraction(r)
     if abs(r) <= 1:
         raise DivergentParameter(f"need |r| > 1, got {r}")

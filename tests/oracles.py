@@ -1,15 +1,21 @@
 """Independent brute-force referees used by the tests.
 
-Everything here enumerates exhaustively and stays deliberately naive; the
-production code must agree with these on small instances.
+Everything here enumerates exhaustively or works on label pairs, and stays
+deliberately naive; the production code must agree with these on small
+instances.
 """
 
+from fractions import Fraction
 from itertools import permutations, product
+
+from posetoperad.polynomials import (BinomialPoly, MonomialPoly, SparseVec,
+                                     binomial)
+from posetoperad.poset import Poset
 
 
 def naive_count_maps(P, n, mode):
     """Full enumeration over all |P|-tuples of values in [n]."""
-    rel = [(P.index_of(a), P.index_of(b)) for a, b in P.relation]
+    rel = list(P.index_pairs())
     count = 0
     for f in product(range(n), repeat=len(P)):
         if mode == "strict":
@@ -83,7 +89,7 @@ def mask_scan_downsets(P, mask=None):
 
 
 def naive_strict_surjections(P, m):
-    rel = [(P.index_of(a), P.index_of(b)) for a, b in P.relation]
+    rel = list(P.index_pairs())
     full = set(range(m))
     count = 0
     for f in product(range(m), repeat=len(P)):
@@ -95,7 +101,7 @@ def naive_strict_surjections(P, m):
 def naive_linear_extensions(P):
     """Order-preserving bijections onto the chain of size |P|."""
     k = len(P)
-    rel = [(P.index_of(a), P.index_of(b)) for a, b in P.relation]
+    rel = list(P.index_pairs())
     count = 0
     for perm in permutations(range(k)):
         if all(perm[i] < perm[j] for i, j in rel):
@@ -106,7 +112,7 @@ def naive_linear_extensions(P):
 def naive_max_chain(P):
     k = len(P)
     best = 0
-    idx_rel = {(P.index_of(a), P.index_of(b)) for a, b in P.relation}
+    idx_rel = P.index_pairs()
     for mask in range(1 << k):
         members = [i for i in range(k) if mask >> i & 1]
         if all((a, b) in idx_rel or (b, a) in idx_rel
@@ -151,7 +157,7 @@ def has_induced_zigzag(P):
     """True when some 4 elements induce the one non-series-parallel shape
     a<b, c<b, c<d (and no other comparabilities among them)."""
     k = len(P)
-    idx_rel = {(P.index_of(x), P.index_of(y)) for x, y in P.relation}
+    idx_rel = P.index_pairs()
 
     def rel(a, b):
         return (a, b) in idx_rel
@@ -163,3 +169,48 @@ def has_induced_zigzag(P):
         if all(rel(x, y) for x, y in wanted) and not any(rel(x, y) for x, y in others):
             return True
     return False
+
+
+def poset_from_relation(elements, relation):
+    """A Poset from its closed relation given as label pairs, by setting
+    one bit per pair; trusts the pairs to be closed and acyclic."""
+    idx = {a: i for i, a in enumerate(elements)}
+    below = [0] * len(idx)
+    for a, b in relation:
+        below[idx[b]] |= 1 << idx[a]
+    return Poset(elements, below)
+
+
+def label_lex_sum(outer, inner):
+    """Lexicographic sum built from "slot.inner" label pairs: the pairs of
+    each block, plus every pair across blocks on related outer slots."""
+    labels, blocks, rel = [], [], set()
+    for slot, block in zip(outer.elements, inner):
+        names = [f"{slot}.{e}" for e in block.elements]
+        blocks.append(names)
+        labels.extend(names)
+        rel.update((f"{slot}.{a}", f"{slot}.{b}") for a, b in block.relation)
+    for a, b in outer.index_pairs():
+        rel.update((x, y) for x in blocks[a] for y in blocks[b])
+    return poset_from_relation(labels, rel)
+
+
+def closed_form_expand(cf, terms):
+    """First ``terms`` power-series coefficients of num(x) / (1-x)^p."""
+    p = cf.den_power
+    return [sum((c * binomial(t - j + p - 1, p - 1)
+                 for j, c in enumerate(cf.numerator) if j <= t), Fraction(0))
+            for t in range(terms)]
+
+
+def poly_from_json(d):
+    cls = {"binomial": BinomialPoly, "monomial": MonomialPoly}.get(d["basis"])
+    if cls is None:
+        raise ValueError(f"unknown basis {d['basis']!r}")
+    return cls(SparseVec.coeffs_from_json(d))
+
+
+def triangulation_profile(dv):
+    """dimension -> simplex count of the d-vector's triangulation, highest
+    dimension first."""
+    return {i + 1: v for i, v in sorted(enumerate(dv.d), reverse=True) if v}

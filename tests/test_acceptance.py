@@ -16,7 +16,8 @@ from posetoperad.zeta import (PrecisionContext, alternating_unit_record,
                               finite_form_identity, goldbach_record,
                               inverse_power_sum, verify_identity)
 
-from oracles import backtracking_count_maps, naive_count_maps
+from oracles import (backtracking_count_maps, naive_count_maps,
+                     triangulation_profile)
 
 
 def _report(name, started, detail=""):
@@ -28,7 +29,7 @@ def test_criterion_01_zigzag_d_vector():
     t0 = time.perf_counter()
     dv = d_vector(zigzag_poset())
     assert dv.d == (0, 1, 5, 5)
-    profile = dv.triangulation_profile()
+    profile = triangulation_profile(dv)
     # 5 top simplices glued along 5 facets, all sharing one triangle
     assert profile == {4: 5, 3: 5, 2: 1}
     _report("01 zigzag d-vector", t0, f"d={dv.d}")

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -142,6 +143,58 @@ def test_fuzzed_expressions_end_in_a_documented_exit_code(text, command):
     assert main(argv) in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_GUARD)
 
 
+# junk that no flag's type accepts as an in-range value; the numeric draws
+# stay small (digits <= 60, --at <= 40, at most 6 lengths) so no case runs long
+_JUNK = st.sampled_from(["", "x", "-", "1.5", "1e3", "1/0", "nan", "inf", "--"])
+
+
+def _flag(ints):
+    return st.one_of(ints.map(str), _JUNK)
+
+
+_GLOBAL_FLAGS = {
+    "--digits": _flag(st.integers(-2, 60)),
+    "--tolerance": st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr), _JUNK),
+    "--guard": _flag(st.integers(-3, 16)),
+    "--term-cap": _flag(st.integers(-3, 5000)),
+}
+
+
+@st.composite
+def _flagged_argv(draw):
+    argv = []
+    for flag, values in _GLOBAL_FLAGS.items():
+        if draw(st.booleans()):
+            argv += [f"{flag}={draw(values)}"]
+    expr = draw(st.sampled_from(["A3", "C2|C1", "C1*(C1|C1)",
+                                 "{x<y,z<y,z<w}"]))
+    command = draw(st.sampled_from(["poly", "series", "zeta-identity",
+                                    "inverse-sum", "eval", "tropical"]))
+    argv += [command, expr]
+    if command == "inverse-sum":
+        r = draw(st.one_of(
+            st.fractions(min_value=-50, max_value=50,
+                         max_denominator=50).map(str), _JUNK))
+        argv += [f"--r={r}"]
+    elif command == "eval":
+        argv += [f"--at={draw(_flag(st.integers(-3, 40)))}"]
+    elif command == "tropical":
+        lengths = draw(st.lists(_flag(st.integers(-3, 9)), max_size=6))
+        argv += ["--lengths=" + ",".join(lengths)]
+    return argv
+
+
+@given(_flagged_argv())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_flags_end_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_GUARD)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
 
@@ -180,6 +233,30 @@ def test_env_var_digits_not_an_integer(capsys, monkeypatch):
 def test_tolerance_must_be_finite_and_positive(capsys, tol):
     code, out, err = run(capsys, "--tolerance", tol, "zeta-identity", "C2")
     assert code == EXIT_USAGE and "--tolerance" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [["--term-cap", "0", "zeta-identity", "A3"],
+                                  ["--term-cap", "-5", "zeta-identity", "A3"],
+                                  ["--guard", "-1", "poly", "C3"],
+                                  ["--guard", "x", "poly", "C3"]])
+def test_term_cap_and_guard_checked_at_parse_time(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and argv[0] in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [["--tolerance=--", "zeta-identity", "A3"],
+                                  ["--guard=--", "poly", "C3"],
+                                  ["eval", "C3", "--at=--"],
+                                  ["tropical", "A2", "--lengths=--"],
+                                  ["inverse-sum", "A3", "--r=--"]])
+def test_flag_given_double_dash_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and "expected one argument" in err and out == ""
+
+
+def test_guard_zero_admits_only_the_empty_poset(capsys):
+    assert run(capsys, "--guard", "0", "poly", "C0")[0] == EXIT_OK
+    assert run(capsys, "--guard", "0", "poly", "C1")[0] == EXIT_GUARD
 
 
 def test_stdin_batch(capsys, monkeypatch):

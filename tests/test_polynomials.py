@@ -8,10 +8,9 @@ from posetoperad.errors import IndexOutOfRange, ModeMismatch
 from posetoperad.polynomials import (BinomialPoly, MonomialPoly,
                                      bernoulli_number, binomial,
                                      eulerian_number, eulerian_polynomial,
-                                     multiset_coeff, poly_from_json,
-                                     stirling2, x_power)
+                                     multiset_coeff, stirling2, x_power)
 
-from oracles import descent_eulerian, partition_stirling2
+from oracles import descent_eulerian, partition_stirling2, poly_from_json
 
 
 def test_binomial_values():

@@ -1,7 +1,10 @@
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from posetoperad.catalog import iso_classes
 from posetoperad.errors import (ArityMismatch, CycleDetected, DuplicateLabel,
                                 UnknownLabel)
 from posetoperad.poset import (Poset, antichain, chain, construct_poset,
@@ -9,7 +12,7 @@ from posetoperad.poset import (Poset, antichain, chain, construct_poset,
                                max_chain_length, ordinal_sum, tropical_eval)
 from posetoperad.series import zigzag_poset
 
-from oracles import mask_scan_downsets, naive_max_chain
+from oracles import label_lex_sum, mask_scan_downsets, naive_max_chain
 
 
 def labeled_dag(draw, max_size=5):
@@ -56,7 +59,7 @@ def test_canonical_families():
 
 def test_closure_transitivity():
     P = construct_poset(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")])
-    assert P.less("a", "d")
+    assert ("a", "d") in P.relation
     assert len(P.relation) == 6
     assert P.covers() == (("a", "b"), ("b", "c"), ("c", "d"))
 
@@ -141,6 +144,41 @@ def test_lex_sum_operadic_associativity(data):
     direct = lex_sum(outer, [lex_sum(m, group)
                              for m, group in zip(mids, inners)])
     assert _same_shape(staged, direct)
+
+
+def _assert_same_poset(P, R):
+    assert P.elements == R.elements
+    assert P.relation == R.relation
+    assert P.covers() == R.covers()
+    assert hash(P) == hash(R)
+    assert P == R
+
+
+def test_lex_sum_masks_match_label_pair_referee():
+    # outers and blocks in catalog order, which is not always a linear
+    # extension, so a block may sit below a slot declared before it
+    rng = random.Random(2024)
+    outers = [P for n in range(5) for P in iso_classes(n)]
+    blocks = [P for n in range(4) for P in iso_classes(n)]
+    for _ in range(60):
+        outer = rng.choice(outers)
+        inner = [rng.choice(blocks) for _ in range(len(outer))]
+        once = lex_sum(outer, inner)
+        ref_once = label_lex_sum(outer, inner)
+        _assert_same_poset(once, ref_once)
+        top = rng.choice(outers)
+        slots = [rng.randrange(2) for _ in range(len(top))]
+        args = [once if s else rng.choice(blocks) for s in slots]
+        ref_args = [ref_once if s else a for s, a in zip(slots, args)]
+        _assert_same_poset(lex_sum(top, args), label_lex_sum(top, ref_args))
+
+
+def test_chain_and_antichain_masks_match_construction():
+    for n in range(13):
+        labels = [str(i + 1) for i in range(n)]
+        _assert_same_poset(chain(n), construct_poset(
+            labels, [(labels[i], labels[i + 1]) for i in range(n - 1)]))
+        _assert_same_poset(antichain(n), construct_poset(labels, []))
 
 
 def test_json_round_trip():

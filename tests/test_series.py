@@ -16,6 +16,8 @@ from posetoperad.series import (SeriesVec, basis_series, closed_form,
                                 series_identity_check, series_of,
                                 zigzag_poset)
 
+from oracles import closed_form_expand
+
 
 def star_poset():
     return ordinal_sum(chain(1), antichain(3))
@@ -54,7 +56,7 @@ def test_closed_form_expansion_matches_counts(classes_upto_4):
         for P in reps:
             for mode in ("strict", "weak"):
                 cf = closed_form(series_of(P, mode))
-                expanded = cf.expand(20)
+                expanded = closed_form_expand(cf, 20)
                 counts = [count_maps(P, n, mode) for n in range(20)]
                 assert expanded[1:] == counts[1:]
                 if size:
