@@ -5,10 +5,8 @@ poset class up to a chosen size, then print a compact scoreboard."""
 import argparse
 import time
 
-from mpmath import nstr
-
 from posetoperad.catalog import iso_classes
-from posetoperad.zeta import (PrecisionContext, finite_form_identity,
+from posetoperad.zeta import (PrecisionContext, finite_form_identity, nstr,
                               verify_identity)
 
 

@@ -10,7 +10,7 @@ the tolerance, or stdout closed early), 2 usage or parse error,
 
 Start-up stays proportional to the subcommand: module scope imports what
 every path needs, and each command imports the rest when it runs, so
-``poly`` never loads mpmath or the zeta layer.
+``poly`` never loads the zeta layer.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ def build_parser():
 
     s = sub.add_parser("tables", help="print number-triangle rows")
     which = s.add_mutually_exclusive_group(required=True)
-    which.add_argument("--eulerian", type=int, metavar="N")
-    which.add_argument("--stirling", type=int, metavar="N")
+    which.add_argument("--eulerian", type=_nonnegative, metavar="N")
+    which.add_argument("--stirling", type=_nonnegative, metavar="N")
 
     sub.add_parser("verify-suite", help="run the identity battery")
     return p
@@ -189,9 +189,7 @@ def _cmd_series(args):
 
 
 def _cmd_zeta_identity(args):
-    from mpmath import nstr
-
-    from .zeta import finite_form_identity, verify_identity
+    from .zeta import finite_form_identity, nstr, verify_identity
     ctx = _ctx(args)
     status = EXIT_OK
     for P in _guarded_posets(args):
@@ -259,14 +257,12 @@ def _cmd_tables(args):
 
 def _suite_cases(args):
     """The identity battery; ids sort the report order."""
-    from mpmath import nstr
-
     from .counting import reciprocity_check
     from .discrepancies import known_discrepancies
     from .poset import antichain, chain
     from .series import series_of
     from .zeta import (alternating_unit_record, binomial_shift_record,
-                       entry22_check, goldbach_record, verify_identity)
+                       entry22_check, goldbach_record, nstr, verify_identity)
     ctx = _ctx(args)
     cases = []
 

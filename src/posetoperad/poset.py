@@ -53,14 +53,22 @@ class Poset:
     def __init__(self, elements, below):
         self.elements = tuple(elements)
         self._below = tuple(below)
-        above = [0] * len(self._below)
-        for i, m in enumerate(self._below):
-            bit = 1 << i
-            for j in _bits(m):
-                above[j] |= bit
-        self._above = tuple(above)
+        self._above = None
         self._hash = hash((self.elements, self._below))
         self._covers = None
+
+    def _up_masks(self):
+        """The strict-above masks, derived from ``_below`` on first use.
+        Threads that race here each derive the same tuple, so the cache
+        needs no lock."""
+        if self._above is None:
+            above = [0] * len(self._below)
+            for i, m in enumerate(self._below):
+                bit = 1 << i
+                for j in _bits(m):
+                    above[j] |= bit
+            self._above = tuple(above)
+        return self._above
 
     def __len__(self):
         return len(self.elements)
@@ -87,7 +95,7 @@ class Poset:
         return self._below[i]
 
     def above_mask(self, i):
-        return self._above[i]
+        return self._up_masks()[i]
 
     def index_pairs(self):
         return frozenset((j, i) for i, m in enumerate(self._below)
@@ -99,7 +107,7 @@ class Poset:
             e, below = self.elements, self._below
             # a < b is a cover unless something sits strictly between
             self._covers = tuple((e[a], e[b])
-                                 for a, up in enumerate(self._above)
+                                 for a, up in enumerate(self._up_masks())
                                  for b in _bits(up) if not below[b] & up)
         return self._covers
 
@@ -277,10 +285,13 @@ def max_chain_length(P):
 
 
 def check_lengths(size, lengths):
-    """One slot length per element of a poset of the given size."""
+    """One slot length, a chain length >= 0, per element of a poset of the
+    given size."""
     if len(lengths) != size:
         raise ArityMismatch(
             f"poset has {size} slots, got {len(lengths)} lengths")
+    if any(v < 0 for v in lengths):
+        raise ValueError(f"slot lengths must be >= 0, got {min(lengths)}")
 
 
 def tropical_eval(P, lengths):

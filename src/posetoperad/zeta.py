@@ -1,22 +1,24 @@
 """High-precision zeta values, the binomial-to-zeta linear maps, finite-form
 identity generation, exact inverse-power sums, and numeric verification.
 
-Exactness split: every ZetaExpr is exact rational data.  zeta(s) (Borwein,
-"An efficient algorithm for the Riemann zeta function", 2000) and the direct
-sum in entry22_check run in Python-integer fixed point, with bounds that
-count every rounding and without touching mpmath's global precision.
-mpmath, at the context's working precision, remains for the verification
-sums and rendering, always together with an explicit error bound.
+Exactness split: every ZetaExpr is exact rational data.  The numeric layer
+runs on Python integers only.  zeta(s) comes from Borwein's alternating
+series ("An efficient algorithm for the Riemann zeta function", 2000) in
+B-bit fixed point, one pass shared by every s.  The verification sums, the
+direct sum in entry22_check and the decimal rendering work on the same
+integers, so every value is an exact Dyadic, every bound counts its floors,
+PASS is an exact rational comparison, and no state is process-global: the
+whole layer is safe to call from several threads.  mpmath is not needed;
+a Dyadic exposes ``_mpf_`` so that mpmath code can still read it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-
-from mpmath import libmp, mp, mpf, nstr
 
 from .counting import DEFAULT_GUARD, count_maps, d_vector, order_polynomial
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
@@ -49,14 +51,68 @@ DEFAULT_CTX = PrecisionContext()
 _GUARD_DIGITS = 10  # fixed-point digits kept past the working digits
 
 
+class Dyadic(Fraction):
+    """An exact binary fraction man / 2^B, built as ``Dyadic(man, 1 << B)``.
+
+    Sums, differences, products and absolute values of dyadics stay
+    dyadic.  ``_mpf_`` is the normalized mpmath tuple (sign, man, exp, bc),
+    so mpmath arithmetic and ``mpmath.nstr`` read a Dyadic exactly.
+    """
+
+    __slots__ = ()
+
+    def _closed(op):
+        def method(a, b):
+            r = op(a, b)
+            return Dyadic(r) if isinstance(b, (int, Dyadic)) else r
+        return method
+
+    __add__ = __radd__ = _closed(Fraction.__add__)
+    __mul__ = __rmul__ = _closed(Fraction.__mul__)
+    __sub__ = _closed(Fraction.__sub__)
+    __rsub__ = _closed(Fraction.__rsub__)
+    del _closed
+
+    def __neg__(self):
+        return Dyadic(-self.numerator, self.denominator)
+
+    def __abs__(self):
+        return Dyadic(abs(self.numerator), self.denominator)
+
+    @property
+    def _mpf_(self):
+        man, den = self.numerator, self.denominator
+        if not man:
+            return (0, 0, 0, 0)
+        sign, man = int(man < 0), abs(man)
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        return (sign, man, zeros - den.bit_length() + 1, man.bit_length())
+
+
+def _fixed(x, B):
+    """floor(x 2^B) for a rational x: its B-bit fixed point, one floor."""
+    return (x.numerator << B) // x.denominator
+
+
 def _float_up(x):
     """A float >= the nonnegative rational x, never 0."""
     return math.nextafter(float(x), math.inf)
 
 
-def _to_mpf(man, bits):
-    """man * 2^-bits as an mpf, exact for |man| < 2^(bits+1)."""
-    return mp.make_mpf(libmp.from_man_exp(man, -bits, bits + 1, "n"))
+def _dps_to_prec(digits):
+    """Bits for that many decimal digits (mpmath's libmp.dps_to_prec)."""
+    return max(1, round((digits + 1) * 3.3219280948873626))
+
+
+def _borwein_size(digits):
+    """(n, B): Borwein's term count for the working digits plus the guard,
+    and the fixed-point bits, which leave room for the kernel's 2n + 1
+    ulps.  Every numeric value at these digits is a multiple of 2^-B."""
+    n = math.ceil((digits + _GUARD_DIGITS + math.log10(6))
+                  / math.log10(3 + math.sqrt(8)))
+    ulps = 2 * n + 1
+    return n, _dps_to_prec(digits + _GUARD_DIGITS) + ulps.bit_length()
 
 
 @lru_cache(maxsize=None)
@@ -73,41 +129,63 @@ def _borwein_weights(n):
     return d, tuple(d - dk for dk in partial[:n])
 
 
-@lru_cache(maxsize=None)
-def _zeta_minus_one_cached(s, digits, cap):
-    """(zeta(s) - 1, zeta(s), bound) by Borwein's alternating series.
+class _BorweinPass:
+    """Borwein's alternating series for every s up to the last one asked.
 
     eta(s) = sum_(k<n) (-1)^k (d_n - d_k) / (d_n (k+1)^s), each term floored
     at B bits, and zeta(s) = eta(s) 2^(s-1) / (2^(s-1) - 1) with one more
-    floor.  The bound is the truncation 2 * 3/(3+sqrt 8)^n, the 2 covering
+    floor.  The terms of s + 1 are those of s divided by k + 1: for positive
+    integers floor(floor(x/a)/b) = floor(x/(ab)), so each s gets the same
+    integers as a pass of its own, from one big division per k in all.  The
+    bound is the truncation 2 * 3/(3+sqrt 8)^n, the 2 covering
     1/(1 - 2^(1-s)) for s >= 2, plus 2n + 1 ulps: the n term floors, doubled
     by the same factor, and the division's own.
     """
-    n = math.ceil((digits + _GUARD_DIGITS + math.log10(6))
-                  / math.log10(3 + math.sqrt(8)))
-    if n > cap:
-        raise PrecisionUnachievable(
-            f"Borwein term count {n} exceeds cap {cap} for zeta({s})")
-    dn, weights = _borwein_weights(n)
-    ulps = 2 * n + 1
-    B = libmp.dps_to_prec(digits + _GUARD_DIGITS) + ulps.bit_length()
-    one = 1 << B
-    eta = 0
-    for k, w in enumerate(weights):
-        p = (k + 1) ** s
-        if p > one:  # w < d_n, so this term and every later one floors to 0
-            break
-        t = (w << B) // (dn * p)
-        eta += -t if k & 1 else t
-    half = 1 << (s - 1)
-    z = eta * half // (half - 1)
-    # 3 + sqrt 8 > 1457/250
-    bound = _float_up(Fraction(6 * 250 ** n, 1457 ** n) + Fraction(ulps, one))
-    return _to_mpf(z - one, B), _to_mpf(z, B), bound
+
+    def __init__(self, n, B):
+        dn, weights = _borwein_weights(n)
+        self.one = 1 << B
+        self.terms = [(w << B) // (dn * (k + 1))  # s = 1
+                      for k, w in enumerate(weights)]
+        self.values = []  # (zeta(s) - 1, zeta(s)) at index s - 2
+        # 3 + sqrt 8 > 1457/250
+        self.bound = _float_up(Fraction(6 * 250 ** n, 1457 ** n)
+                               + Fraction(2 * n + 1, self.one))
+
+    def extend(self, s):
+        one, terms = self.one, self.terms
+        for s_next in range(len(self.values) + 2, s + 1):
+            terms = [t // (k + 1) for k, t in enumerate(terms)]
+            while terms and not terms[-1]:  # terms fall with k; zeros stay
+                terms.pop()
+            half = 1 << (s_next - 1)
+            z = (sum(terms[::2]) - sum(terms[1::2])) * half // (half - 1)
+            self.values.append((Dyadic(z - one, one), Dyadic(z, one)))
+        self.terms = terms
+
+
+_zeta_lock = threading.Lock()
+_zeta_passes = {}  # (digits, cap) -> _BorweinPass
+
+
+def _zeta_minus_one_cached(s, digits, cap):
+    """(zeta(s) - 1, zeta(s), bound) from the pass for (digits, cap),
+    extended to s under the lock."""
+    with _zeta_lock:
+        zp = _zeta_passes.get((digits, cap))
+        if zp is None:
+            n, B = _borwein_size(digits)
+            if n > cap:
+                raise PrecisionUnachievable(
+                    f"Borwein term count {n} exceeds cap {cap} for zeta({s})")
+            zp = _zeta_passes[digits, cap] = _BorweinPass(n, B)
+        zp.extend(s)
+        return zp.values[s - 2] + (zp.bound,)
 
 
 def zeta_value(s, ctx=DEFAULT_CTX, minus_one=False):
-    """(value, error_bound) for zeta(s) or zeta(s) - 1, s an integer >= 2."""
+    """(value, error_bound) for zeta(s) or zeta(s) - 1, s an integer >= 2;
+    the value is a Dyadic."""
     if not isinstance(s, int) or s < 2:
         raise ValueError("zeta_value needs an integer s >= 2")
     minus, plain, bound = _zeta_minus_one_cached(
@@ -115,10 +193,49 @@ def zeta_value(s, ctx=DEFAULT_CTX, minus_one=False):
     return (minus if minus_one else plain), bound
 
 
-def _fr(x):
-    """Fraction -> mpf at the current working precision."""
-    x = Fraction(x)
-    return mpf(x.numerator) / x.denominator
+def nstr(x, n):
+    """The decimal string mpmath.nstr(x, n) gives for a Dyadic x, computed
+    from integers (a port of mpmath's libmpf.to_str at its defaults).
+
+    The digits are floor(floor(|x| 2^f) 10^d / 2^f), f and d as mpmath
+    picks them for n + 3 digits; the string is rounded half-up at digit n,
+    shown in fixed point when the leading digit's exponent lies strictly
+    between min(-(n//3), -5) and n, and stripped of trailing zeros.  mpmath
+    rescales by a rounded power of ten when |x| is beyond 2^(+-3500); this
+    renderer stays exact there, so only there may the last digit differ.
+    """
+    num, den = x.numerator, x.denominator
+    if not num:
+        return "0.0"
+    sign, num = ("-" if num < 0 else ""), abs(num)
+    shift = den.bit_length() - 1
+    bitprec = int((n + 3) * math.log(10, 2)) + 10
+    fixprec = max(bitprec - num.bit_length() + shift, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    digits = str(((num << fixprec) >> shift) * 10 ** fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    if len(digits) > n and digits[n] in "56789":
+        head = digits[:n].rstrip("9")
+        if head:
+            digits = head[:-1] + str(int(head[-1]) + 1)
+        else:
+            digits, exponent = "1", exponent + 1
+    digits = digits[:n]
+    if min(-(n // 3), -5) < exponent < n:
+        if exponent < 0:
+            digits, split = "0" * -exponent + digits, 1
+        else:
+            split = exponent + 1
+            digits = digits.ljust(split, "0")
+        exponent = 0
+    else:
+        split = 1
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits.endswith("."):
+        digits += "0"
+    if exponent == 0:
+        return sign + digits
+    return f"{sign}{digits}e{exponent:+d}"
 
 
 @dataclass(frozen=True)
@@ -185,15 +302,18 @@ class ZetaExpr:
         return f"ZetaExpr({self.render()})"
 
     def eval_numeric(self, ctx=DEFAULT_CTX):
-        """(mpf value, error bound)."""
-        with mp.workdps(ctx.working_digits + 10):
-            total = _fr(self.constant)
-            bound = 0.0
-            for k, v in self.coeffs:
-                zv, zb = zeta_value(k + 1, ctx)
-                total += _fr(v) * zv
-                bound += abs(float(v)) * zb
-            return total, bound + 10.0 ** (-(ctx.working_digits + 5))
+        """(Dyadic value, error bound) at the zeta kernel's B bits: the
+        constant and each coefficient times its zeta value are floored once,
+        and the bound counts those floors next to the zeta bounds."""
+        B = _borwein_size(ctx.working_digits)[1]
+        total = _fixed(self.constant, B)
+        bound = 0.0
+        for k, v in self.coeffs:
+            zv, zb = zeta_value(k + 1, ctx)
+            total += _fixed(v * zv, B)
+            bound += abs(float(v)) * zb
+        floors = Fraction(len(self.coeffs) + 1, 1 << B)
+        return Dyadic(total, 1 << B), bound + _float_up(floors)
 
     def to_json_dict(self):
         return {"constant": str(self.constant),
@@ -317,6 +437,11 @@ def _check_bound(bound, ctx):
             f"{ctx.verify_tolerance:.3e}; raise the working digits")
 
 
+def _within(lhs, rhs, bound, ctx):
+    """PASS, decided exactly: |lhs - rhs| <= bound + tolerance."""
+    return abs(lhs - rhs) <= Fraction(bound) + Fraction(ctx.verify_tolerance)
+
+
 def verify_identity(rec, ctx=DEFAULT_CTX):
     """Numerically referee an IdentityRecord built on a binomial-basis LHS.
 
@@ -333,23 +458,26 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
         raise DivergentParameter(
             "non-alternating zeta-shift series need a constant polynomial")
     N, tail = _choose_series_cap(M, D, ctx.verify_tolerance, ctx.series_term_cap)
-    with mp.workdps(ctx.working_digits + 10):
-        total = mpf(0)
-        term_bound = 0.0
-        for k in range(rec.start_index, N + 1):
-            pk = poly.eval(k)
-            if pk == 0:
-                continue
-            zv, zb = zeta_value(k + 1, ctx, minus_one=True)
-            sign = (-1) ** (k + 1) if rec.alternating else 1
-            total += sign * _fr(pk) * zv
-            term_bound += abs(float(pk)) * zb
-        rhs_val, rhs_bound = rec.rhs.eval_numeric(ctx)
-        bound = float(tail) + term_bound + rhs_bound
-        _check_bound(bound, ctx)
-        passed = abs(total - rhs_val) <= bound + ctx.verify_tolerance
-    return replace(rec, lhs_numeric=total, rhs_numeric=rhs_val,
-                   error_bound=bound, passed=passed,
+    B = _borwein_size(ctx.working_digits)[1]
+    total = floors = 0
+    term_bound = 0.0
+    for k in range(rec.start_index, N + 1):
+        pk = poly.eval(k)
+        if pk == 0:
+            continue
+        # by its module-level name, which perfbench's tracer wraps
+        zv, zb = zeta_value(k + 1, ctx, minus_one=True)
+        sign = (-1) ** (k + 1) if rec.alternating else 1
+        total += _fixed(sign * pk * zv, B)
+        floors += 1
+        term_bound += abs(float(pk)) * zb
+    lhs_val = Dyadic(total, 1 << B)
+    rhs_val, rhs_bound = rec.rhs.eval_numeric(ctx)
+    bound = (float(tail) + term_bound + rhs_bound
+             + _float_up(Fraction(floors, 1 << B)))
+    _check_bound(bound, ctx)
+    return replace(rec, lhs_numeric=lhs_val, rhs_numeric=rhs_val,
+                   error_bound=bound, passed=_within(lhs_val, rhs_val, bound, ctx),
                    notes=rec.notes + (f"lhs summed to k={N}",))
 
 
@@ -485,15 +613,14 @@ def entry22_check(k, ctx=DEFAULT_CTX):
     # integral tail: sum_{n>M} n^-2k < M^(1-2k)/(2k-1)
     M = max(64, int(math.ceil((4 / (tol * (2 * k - 1))) ** (1 / (2 * k - 1)))))
     # fixed point: one floor per term, M ulps in all
-    B = libmp.dps_to_prec(ctx.working_digits + _GUARD_DIGITS) + M.bit_length()
+    B = _dps_to_prec(ctx.working_digits + _GUARD_DIGITS) + M.bit_length()
     one = 1 << B
-    total = _to_mpf(sum(one // (n * (n + 1)) ** k for n in range(1, M + 1)), B)
+    total = Dyadic(sum(one // (n * (n + 1)) ** k for n in range(1, M + 1)), one)
     tail = float(Fraction(1, (2 * k - 1) * M ** (2 * k - 1)))
     rhs_val, rhs_bound = formula.eval_numeric(ctx)
     bound = tail + _float_up(Fraction(M, one)) + rhs_bound
     _check_bound(bound, ctx)
-    with mp.workdps(ctx.working_digits + 10):
-        passed = abs(total - rhs_val) <= bound + tol
+    passed = _within(total, rhs_val, bound, ctx)
     notes = [f"telescoping oracle: {oracle.render()}",
              f"formula matches oracle: {formula == oracle}"]
     return IdentityRecord(

@@ -93,6 +93,17 @@ def test_tables(capsys):
     assert payload["value"]["4"] == [0, 1, 7, 6, 1]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["tropical", "C2", "--lengths=-1,-2"], "lengths"),
+    (["tropical", "{x<y>z<w}", "--lengths", "2,0,-3,4"], "lengths"),
+    (["tables", "--eulerian=-3"], "--eulerian"),
+    (["tables", "--stirling=-3"], "--stirling"),
+    (["tables", "--stirling", "-1"], "--stirling")])
+def test_negative_values_are_usage_errors(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and flag in err and ">= 0" in err and out == ""
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "poly", "{x<}")
     assert code == EXIT_USAGE and "expected" in err

@@ -123,3 +123,49 @@ def test_commands_without_numerics_load_no_numeric_module(argv):
     assert not loaded & set(NUMERIC), loaded
     if argv[0] not in ("series", "inverse-sum"):
         assert "posetoperad.series" not in loaded, loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["--digits", "30", "zeta-identity", "A3"],
+    ["--digits", "30", "verify-suite"],
+])
+def test_numeric_commands_load_no_mpmath(argv):
+    code = ("import contextlib, io\nfrom posetoperad import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n")
+    loaded = _loaded_after(code)
+    assert "posetoperad.zeta" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "mpmath"}, loaded
+
+
+BLOCK_MPMATH = """
+import sys
+
+
+class RefuseMpmath:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "mpmath":
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, RefuseMpmath())
+"""
+
+
+def test_package_runs_with_mpmath_blocked():
+    code = BLOCK_MPMATH + (
+        "import contextlib, io\nimport posetoperad\n"
+        "for name in posetoperad.__all__:\n"
+        "    getattr(posetoperad, name)\n"
+        "from posetoperad import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['--digits', '30', 'zeta-identity', 'A3']) == 0\n"
+        "    assert cli.main(['--digits', '30', 'verify-suite']) == 0\n"
+        "try:\n"
+        "    import mpmath\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('the blocker let mpmath in')\n")
+    loaded = _loaded_after(code)
+    assert "posetoperad.zeta" in loaded

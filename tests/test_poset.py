@@ -106,6 +106,8 @@ def test_tropical_examples():
         assert tropical_eval(N, list(args)) == max(m + n, n + r, r + s)
     with pytest.raises(ArityMismatch):
         tropical_eval(N, [1, 2, 3])
+    with pytest.raises(ValueError):  # no chain has a negative length
+        tropical_eval(two, [1, -1])
 
 
 @given(st.data())

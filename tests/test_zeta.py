@@ -16,7 +16,7 @@ from posetoperad.poset import antichain, chain, lex_sum, ordinal_sum
 from posetoperad.series import zigzag_poset
 from posetoperad.zeta import (DEFAULT_CTX, PrecisionContext,
                               ZetaExpr, _borwein_weights,
-                              _zeta_minus_one_cached,
+                              _zeta_minus_one_cached, _zeta_passes,
                               alternating_unit_record, binomial_shift_record,
                               entry22_check, entry22_formula, entry22_oracle,
                               finite_form_identity, goldbach_record,
@@ -82,9 +82,9 @@ def test_borwein_weights_are_integers():
 def test_zeta_value_is_thread_safe():
     ctxs = [PrecisionContext(working_digits=30),
             PrecisionContext(working_digits=200)]
-    _zeta_minus_one_cached.cache_clear()
+    _zeta_passes.clear()
     serial = [[zeta_value(s, c) for s in range(2, 60)] for c in ctxs]
-    _zeta_minus_one_cached.cache_clear()
+    _zeta_passes.clear()
     prec = mpmath.mp.prec
     got = [None, None]
     barrier = threading.Barrier(2, timeout=60)
@@ -106,6 +106,43 @@ def test_zeta_value_is_thread_safe():
     assert not any(t.is_alive() for t in threads)
     assert got == serial
     assert mpmath.mp.prec == prec
+
+
+def test_verification_is_thread_safe():
+    # two threads verify at 30 and 200 digits at once, from cold zeta
+    # caches; each must get the records of a serial run
+    ctxs = [PrecisionContext(working_digits=30),
+            PrecisionContext(working_digits=200)]
+
+    def work(ctx):
+        recs = (verify_identity(finite_form_identity(antichain(3)), ctx),
+                entry22_check(3, ctx))
+        return [(r.lhs_numeric, r.rhs_numeric, r.error_bound, r.passed)
+                for r in recs]
+
+    serial = [work(c) for c in ctxs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+            _zeta_passes.clear()
+            got = [None, None]
+            barrier = threading.Barrier(2, timeout=60)
+
+            def run(i):
+                barrier.wait()
+                got[i] = [work(ctxs[i]) for _ in range(3)]
+
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [[serial[i]] * 3 for i in range(2)], trial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_zeta_minus_one_decay():
