@@ -12,12 +12,11 @@ _EXPORTS = {
                  "d_vector", "enumeration_report",
                  "nested_sum_identity_check", "order_polynomial",
                  "reciprocity_check"),
-    "errors": ("ArityError", "ArityMismatch", "CrossCheckMismatch",
-               "CycleDetected", "DivergentParameter", "DuplicateLabel",
-               "EnumerationGuard", "ExprSyntaxError", "IndexOutOfRange",
-               "MissingProvenance", "ModeMismatch", "PosetOperadError",
-               "PrecisionUnachievable", "UnknownIdentity", "UnknownLabel",
-               "UnknownName"),
+    "errors": ("ArityError", "ArityMismatch", "CycleDetected",
+               "DivergentParameter", "DuplicateLabel", "EnumerationGuard",
+               "ExprSyntaxError", "IndexOutOfRange", "MissingProvenance",
+               "ModeMismatch", "PosetOperadError", "PrecisionUnachievable",
+               "UnknownIdentity", "UnknownLabel", "UnknownName"),
     "polynomials": ("BinomialPoly", "MonomialPoly", "bernoulli_number",
                     "binomial", "eulerian_number", "eulerian_polynomial",
                     "multiset_coeff", "stirling2", "x_power"),

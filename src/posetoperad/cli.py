@@ -160,7 +160,6 @@ def _guarded_posets(args):
 
 def _cmd_poly(args):
     from .counting import enumeration_report, order_polynomial
-    status = EXIT_OK
     for P in _guarded_posets(args):
         report = enumeration_report(P, args.guard)
         dv = report["d"]
@@ -172,7 +171,7 @@ def _cmd_poly(args):
                f"strict: {poly.render()}",
                f"weak (multiset basis): {weak.render()}"],
               report)
-    return status
+    return EXIT_OK
 
 
 def _cmd_series(args):

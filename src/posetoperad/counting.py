@@ -140,9 +140,6 @@ class DVector:
             raise PosetOperadError(f"top entry must count linear extensions "
                                    f"(>= 1): {self.d}")
 
-    def to_json_dict(self):
-        return {"poset": self.poset.to_json_dict(), "d": list(self.d)}
-
 
 @lru_cache(maxsize=None)
 def d_vector(P, guard=DEFAULT_GUARD):
@@ -177,12 +174,6 @@ class ReciprocityReport:
     weak_poly: BinomialPoly
     passed: bool
 
-    def to_json_dict(self):
-        return {"poset": self.poset.to_json_dict(),
-                "strict_poly": self.strict_poly.to_json_dict(),
-                "weak_poly": self.weak_poly.to_json_dict(),
-                "pass": self.passed}
-
 
 def reciprocity_check(P, guard=DEFAULT_GUARD):
     """Verify (-1)^|P| Omega_strict(P, -x) = Omega_weak(P, x) exactly."""
@@ -202,13 +193,6 @@ class NestedSumReport:
     nested_value: int
     weak_map_count: int
     passed: bool
-
-    def to_json_dict(self):
-        return {"n": self.n, "k": self.k, "q": self.q,
-                "binomial": self.binomial_value,
-                "nested_sum": self.nested_value,
-                "weak_maps": self.weak_map_count,
-                "pass": self.passed}
 
 
 def nested_sum_identity_check(n, k, q):

@@ -49,21 +49,6 @@ class UnknownIdentity(PosetOperadError):
     pass
 
 
-class CrossCheckMismatch(PosetOperadError):
-    """The exact and multilinear operad evaluations disagree.
-
-    Carries both values so the caller can inspect the evidence.
-    """
-
-    def __init__(self, exact, multilinear):
-        self.exact = exact
-        self.multilinear = multilinear
-        super().__init__(
-            f"operad evaluation cross-check failed: exact={exact!r} "
-            f"multilinear={multilinear!r}"
-        )
-
-
 class ExprSyntaxError(PosetOperadError):
     """DSL parse error with 1-based source position."""
 

@@ -2,9 +2,10 @@
 binomial and monomial polynomial bases, and the classical integer kernels
 (Stirling, Eulerian, Bernoulli).
 
-A poset's d-vector is its order polynomial over {C(x, i)} and its order
-series over Z_i, so one ``SparseVec`` core serves ``BinomialPoly``,
-``MonomialPoly`` and ``series.SeriesVec``: cleaning, ==/hash over (basis
+A poset's d-vector is its order polynomial over {C(x, i)}, its order
+series over Z_i and, through N-tilde, its zeta expression over zeta(i+1),
+so one ``SparseVec`` core serves ``BinomialPoly``, ``MonomialPoly``,
+``series.SeriesVec`` and ``zeta.ZetaExpr``: cleaning, ==/hash over (basis
 tag, coefficients), +/-/scale within one basis, rendering and the JSON
 coefficient map.  The subclasses add evaluation, basis change and products.
 The Hadamard and ordinal products of strict coefficient maps
@@ -97,9 +98,6 @@ class SparseVec:
 
     def max_index(self):
         return max(self.coeffs, default=0)
-
-    def is_zero(self):
-        return not self.coeffs
 
     def __eq__(self, other):
         return (isinstance(other, SparseVec) and self.basis == other.basis

@@ -271,17 +271,9 @@ def decompose(P, mask=None):
     return mask
 
 
-def _topo_indices(P):
-    # popcount of the below-mask is a valid height key on a closed relation
-    return sorted(range(len(P)), key=lambda i: P.below_mask(i).bit_count())
-
-
 def max_chain_length(P):
     """Size of the longest totally ordered subset; 0 for the empty poset."""
-    best = [0] * len(P)
-    for i in _topo_indices(P):
-        best[i] = 1 + max((best[j] for j in _bits(P.below_mask(i))), default=0)
-    return max(best, default=0)
+    return tropical_eval(P, [1] * len(P))
 
 
 def check_lengths(size, lengths):
@@ -302,7 +294,8 @@ def tropical_eval(P, lengths):
     lengths = list(lengths)
     check_lengths(len(P), lengths)
     best = [0] * len(P)
-    for i in _topo_indices(P):
+    # popcount of the below-mask is a valid height key on a closed relation
+    for i in sorted(range(len(P)), key=lambda i: P.below_mask(i).bit_count()):
         best[i] = lengths[i] + max(
             (best[j] for j in _bits(P.below_mask(i))), default=0)
     return max(best, default=0)

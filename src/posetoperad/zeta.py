@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .counting import DEFAULT_GUARD, count_maps, d_vector, order_polynomial
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
                      PosetOperadError, PrecisionUnachievable)
-from .polynomials import BinomialPoly, clean_coeffs, render_sum
+from .polynomials import BinomialPoly, SparseVec, render_sum
 from .poset import Poset, chain, lex_sum, max_chain_length
 # inverse_power_sum lives in series, next to SeriesVec.eval_at; it is bound
 # here too, so `from posetoperad.zeta import inverse_power_sum` keeps working
@@ -32,21 +32,22 @@ from .series import STRICT, SeriesVec, inverse_power_sum
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Numeric policy: working digits, verification tolerance, term caps.
+    """Numeric policy: working digits, verification tolerance, term cap.
 
     The tolerance must stay looser than the guaranteed truncation and
     rounding bound of each computation; the verifiers raise
-    PrecisionUnachievable when they cannot honor that.  zeta_sum_cap caps
-    the terms of Borwein's zeta series (about 1.31 per working digit).
+    PrecisionUnachievable when they cannot honor that.
     """
 
     working_digits: int = 50
     verify_tolerance: float = 1e-12
     series_term_cap: int = 4000
-    zeta_sum_cap: int = 2_000_000
 
 
 DEFAULT_CTX = PrecisionContext()
+
+# cap on the terms of Borwein's zeta series (about 1.31 per working digit)
+ZETA_SUM_CAP = 2_000_000
 
 _GUARD_DIGITS = 10  # fixed-point digits kept past the working digits
 
@@ -118,14 +119,18 @@ def _borwein_size(digits):
 @lru_cache(maxsize=None)
 def _borwein_weights(n):
     """d_n and (d_n - d_k for k < n), where d_k = n sum_(i<=k) (n+i-1)! 4^i
-    / ((n-i)! (2i)!) = sum_(i<=k) n 4^i C(n+i, 2i) / (n+i) are integers."""
-    d, partial = 0, []
+    / ((n-i)! (2i)!) = sum_(i<=k) n 4^i C(n+i, 2i) / (n+i) are integers.
+    Term i + 1 is term i times 4(n+i)(n-i) / ((2i+1)(2i+2)), starting
+    from term 0 = 1."""
+    d, term, partial = 0, 1, []
     for i in range(n + 1):
-        term, rem = divmod(n * 4 ** i * math.comb(n + i, 2 * i), n + i)
-        if rem:
-            raise PosetOperadError(f"Borwein weight {i} of n={n} is not an integer")
         d += term
         partial.append(d)
+        term, rem = divmod(term * 4 * (n + i) * (n - i),
+                           (2 * i + 1) * (2 * i + 2))
+        if rem:
+            raise PosetOperadError(
+                f"Borwein weight {i + 1} of n={n} is not an integer")
     return d, tuple(d - dk for dk in partial[:n])
 
 
@@ -165,20 +170,21 @@ class _BorweinPass:
 
 
 _zeta_lock = threading.Lock()
-_zeta_passes = {}  # (digits, cap) -> _BorweinPass
+_zeta_passes = {}  # digits -> _BorweinPass
 
 
-def _zeta_minus_one_cached(s, digits, cap):
-    """(zeta(s) - 1, zeta(s), bound) from the pass for (digits, cap),
+def _zeta_minus_one_cached(s, digits):
+    """(zeta(s) - 1, zeta(s), bound) from the pass for the digits,
     extended to s under the lock."""
     with _zeta_lock:
-        zp = _zeta_passes.get((digits, cap))
+        zp = _zeta_passes.get(digits)
         if zp is None:
             n, B = _borwein_size(digits)
-            if n > cap:
+            if n > ZETA_SUM_CAP:
                 raise PrecisionUnachievable(
-                    f"Borwein term count {n} exceeds cap {cap} for zeta({s})")
-            zp = _zeta_passes[digits, cap] = _BorweinPass(n, B)
+                    f"Borwein term count {n} exceeds cap {ZETA_SUM_CAP} "
+                    f"for zeta({s})")
+            zp = _zeta_passes[digits] = _BorweinPass(n, B)
         zp.extend(s)
         return zp.values[s - 2] + (zp.bound,)
 
@@ -188,8 +194,7 @@ def zeta_value(s, ctx=DEFAULT_CTX, minus_one=False):
     the value is a Dyadic."""
     if not isinstance(s, int) or s < 2:
         raise ValueError("zeta_value needs an integer s >= 2")
-    minus, plain, bound = _zeta_minus_one_cached(
-        s, ctx.working_digits, ctx.zeta_sum_cap)
+    minus, plain, bound = _zeta_minus_one_cached(s, ctx.working_digits)
     return (minus if minus_one else plain), bound
 
 
@@ -238,59 +243,49 @@ def nstr(x, n):
     return f"{sign}{digits}e{exponent:+d}"
 
 
-@dataclass(frozen=True)
-class ZetaExpr:
+class ZetaExpr(SparseVec):
     """Exact rational constant plus rational coefficients over zeta(k+1).
 
-    coeffs is a sorted tuple of (k, coefficient) pairs, k >= 1 meaning the
-    coefficient multiplies zeta(k+1).  Printable both directly and against
-    the shifted terms zeta(k+1) - 1 - 2^-(k+1).  Provenance is metadata and
-    takes no part in equality.
+    The shared sparse vector with basis "zeta": index 0 holds the constant
+    and index k >= 1 the coefficient of zeta(k+1), so n_tilde keeps a
+    polynomial's coefficients as they are.  Printable both directly and
+    against the shifted terms zeta(k+1) - 1 - 2^-(k+1).  Provenance is
+    metadata and takes no part in equality.
     """
 
-    constant: Fraction = Fraction(0)
-    coeffs: tuple = ()
-    provenance: Poset | None = field(default=None, compare=False)
+    __slots__ = ("provenance",)
+    basis = "zeta"
+
+    def __init__(self, coeffs=None, provenance=None):
+        super().__init__(coeffs)
+        self.provenance = provenance
 
     @staticmethod
     def make(constant=0, coeffs=None, provenance=None):
-        return ZetaExpr(Fraction(constant),
-                        tuple(sorted(clean_coeffs(coeffs).items())), provenance)
+        return ZetaExpr({**(coeffs or {}), 0: constant}, provenance)
 
-    def coeff_dict(self):
-        return dict(self.coeffs)
+    @property
+    def constant(self):
+        return self.coeff(0)
 
-    def coeff(self, k):
-        return self.coeff_dict().get(k, Fraction(0))
-
-    def __add__(self, other):
-        out = self.coeff_dict()
-        for k, v in other.coeffs:
-            out[k] = out.get(k, Fraction(0)) + v
-        return ZetaExpr.make(self.constant + other.constant, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, r):
-        r = Fraction(r)
-        return ZetaExpr.make(self.constant * r,
-                             {k: v * r for k, v in self.coeffs})
+    def zeta_terms(self):
+        """The (k, coefficient of zeta(k+1)) pairs, k >= 1, sorted by k."""
+        return [(k, self.coeffs[k]) for k in sorted(self.coeffs) if k]
 
     def shifted_constant(self):
         """Leftover rational when the expression is written over the shifted
         basis zeta(k+1) - 1 - 2^-(k+1) with the same coefficients."""
-        extra = sum((v * (1 + Fraction(1, 2 ** (k + 1))) for k, v in self.coeffs),
-                    Fraction(0))
+        extra = sum((v * (1 + Fraction(1, 2 ** (k + 1)))
+                     for k, v in self.zeta_terms()), Fraction(0))
         return self.constant + extra
 
     def render(self, style="plain"):
         if style == "plain":
-            terms = [(v, f"zeta({k + 1})") for k, v in self.coeffs]
+            terms = [(v, f"zeta({k + 1})") for k, v in self.zeta_terms()]
             const = self.constant
         elif style == "shifted":
             terms = [(v, f"(zeta({k + 1})-1-1/{2 ** (k + 1)})")
-                     for k, v in self.coeffs]
+                     for k, v in self.zeta_terms()]
             const = self.shifted_constant()
         else:
             raise ValueError(f"unknown render style {style!r}")
@@ -306,18 +301,19 @@ class ZetaExpr:
         constant and each coefficient times its zeta value are floored once,
         and the bound counts those floors next to the zeta bounds."""
         B = _borwein_size(ctx.working_digits)[1]
+        terms = self.zeta_terms()
         total = _fixed(self.constant, B)
         bound = 0.0
-        for k, v in self.coeffs:
+        for k, v in terms:
             zv, zb = zeta_value(k + 1, ctx)
             total += _fixed(v * zv, B)
             bound += abs(float(v)) * zb
-        floors = Fraction(len(self.coeffs) + 1, 1 << B)
+        floors = Fraction(len(terms) + 1, 1 << B)
         return Dyadic(total, 1 << B), bound + _float_up(floors)
 
     def to_json_dict(self):
         return {"constant": str(self.constant),
-                "zeta_coeffs": {str(k): str(v) for k, v in self.coeffs}}
+                "zeta_coeffs": {str(k): str(v) for k, v in self.zeta_terms()}}
 
 
 def n_tilde(p):
@@ -325,8 +321,7 @@ def n_tilde(p):
 
     Image of p under summing p(n)(zeta(n+1)-1) over n >= 1.
     """
-    coeffs = {i: v for i, v in p.coeffs.items() if i >= 1}
-    return ZetaExpr.make(p.coeff(0), coeffs)
+    return ZetaExpr(p.coeffs)
 
 
 def n_tilde2(p):
@@ -335,15 +330,12 @@ def n_tilde2(p):
     Image of p under the alternating sum of p(k)(zeta(k+1)-1); the rational
     shifts are folded into the constant so the result stays exact.
     """
-    constant = p.coeff(0) / 2
-    coeffs = {}
+    out = {0: p.coeff(0) / 2}
     for i, v in p.coeffs.items():
-        if i == 0:
-            continue
-        signed = (-1) ** (i + 1) * v
-        coeffs[i] = signed
-        constant += signed * (-1 - Fraction(1, 2 ** (i + 1)))
-    return ZetaExpr.make(constant, coeffs)
+        if i:
+            out[i] = signed = (-1) ** (i + 1) * v
+            out[0] += signed * (-1 - Fraction(1, 2 ** (i + 1)))
+    return ZetaExpr(out)
 
 
 def zeta_number(P, variant="tilde2", guard=DEFAULT_GUARD):
@@ -357,7 +349,7 @@ def zeta_number(P, variant="tilde2", guard=DEFAULT_GUARD):
         expr = n_tilde2(p).scale((-1) ** (len(P) + 1))
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return replace(expr, provenance=P)
+    return ZetaExpr(expr.coeffs, provenance=P)
 
 
 def zhat(k, guard=DEFAULT_GUARD):

@@ -22,6 +22,10 @@ counting.reciprocity_check(P)
 series.closed_form(series.series_of(P, "weak"))
 series.hadamard(series.basis_series(2), series.basis_series(1))
 zeta.verify_identity(zeta.finite_form_identity(P))
+# exact mode on blocks that are not chains
+series.operad_eval_series(P, [series.series_of(poset.antichain(2)),
+                              series.basis_series(1), series.basis_series(0),
+                              series.series_of(P)])
 summary = tracer.summary()
 print(json.dumps({**summary["calls"], **summary["counts"]}))
 """
@@ -35,7 +39,7 @@ def test_tracer_installs_and_sees_vector_layer():
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout)
     for name in ("counting.d_vector", "polynomials.monomial", "series.product",
-                 "series.closed_form", "zeta.zeta_value",
+                 "series.closed_form", "series.operad_eval", "zeta.zeta_value",
                  "zeta.zeta_value.misses", "zeta.verify.terms"):
         assert calls.get(name, 0) > 0, (name, calls)
 

@@ -93,6 +93,20 @@ def test_tables(capsys):
     assert payload["value"]["4"] == [0, 1, 7, 6, 1]
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["eval", "C3", "--at", "5"], {"strict": 10, "weak": 35}),
+    (["inverse-sum", "A5", "--r", "2"], "1082"),
+    (["tropical", "{x<y>z<w}", "--lengths", "2,3,1,4"], 5),
+    (["tables", "--eulerian", "3"], {"1": [1], "2": [1, 1], "3": [1, 4, 1]}),
+    (["tables", "--stirling", "2"], {"0": [1], "1": [0, 1], "2": [0, 1, 1]}),
+])
+def test_value_reports_match_the_schema(capsys, argv, value):
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    jsonschema.validate(payload, schema.VALUE_REPORT)
+    assert payload["value"] == value
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["tropical", "C2", "--lengths=-1,-2"], "lengths"),
     (["tropical", "{x<y>z<w}", "--lengths", "2,0,-3,4"], "lengths"),

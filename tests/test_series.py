@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from posetoperad.errors import (ArityMismatch, MissingProvenance,
                                 ModeMismatch, UnknownIdentity)
 from posetoperad.polynomials import eulerian_polynomial
 from posetoperad.poset import (antichain, chain, construct_poset,
-                               disjoint_union, ordinal_sum)
+                               disjoint_union, lex_sum, ordinal_sum)
 from posetoperad.series import (SeriesVec, basis_series, closed_form,
                                 hadamard, iota, operad_eval_series,
                                 operad_eval_series_report, ordinal_mul,
@@ -147,6 +148,46 @@ def test_operad_eval_exact_vs_multilinear(classes_upto_4):
         for ks in [(1, 1, 1), (2, 1, 1), (1, 2, 3)]:
             rep = operad_eval_series_report(P, [basis_series(k) for k in ks])
             assert rep.mode_used == "exact" and rep.crosschecked
+
+
+def test_exact_route_matches_multilinear_on_prime_outers(classes_upto_5):
+    # the multilinearity proof in operad_eval_series, checked on every
+    # outer of up to 5 elements that is not series-parallel
+    from posetoperad.catalog import is_series_parallel
+    pool = [Q for n in range(4) for Q in classes_upto_5[n]]  # C0..3 classes
+    empty = classes_upto_5[0][0]
+    rng = random.Random(20261018)
+    outers = [P for n in (4, 5) for P in classes_upto_5[n]
+              if not is_series_parallel(P)]
+    assert len(outers) == 16
+    for P in outers:
+        for draw in range(5):
+            blocks = [rng.choice(pool) for _ in range(len(P))]
+            if draw == 0:
+                blocks[rng.randrange(len(P))] = empty
+            args = [series_of(Q) for Q in blocks]
+            bare = [SeriesVec("strict", a.coeffs) for a in args]
+            exact = operad_eval_series_report(P, args, guard=15)
+            multi = operad_eval_series_report(P, bare, guard=15)
+            assert exact.mode_used == "exact" and exact.crosschecked
+            assert multi.mode_used == "multilinear" and multi.conjectural
+            assert exact.series == multi.series, (P, blocks)
+
+
+def test_exact_route_runs_only_the_lex_sum(monkeypatch):
+    import posetoperad.series as series_mod
+
+    def refuse(*args):
+        raise AssertionError("exact mode ran the multilinear route")
+    monkeypatch.setattr(series_mod, "_multilinear_eval", refuse)
+    N = zigzag_poset()
+    args = [series_of(antichain(2)), basis_series(1), basis_series(0),
+            series_of(chain(2))]
+    rep = operad_eval_series_report(N, args)
+    assert rep.mode_used == "exact"
+    assert rep.series == series_of(lex_sum(N, [a.provenance for a in args]))
+    with pytest.raises(AssertionError):
+        operad_eval_series_report(N, [SeriesVec("strict", {1: 1})] + args[1:])
 
 
 def test_operad_eval_multilinear_mode_is_linear():

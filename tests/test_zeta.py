@@ -39,8 +39,8 @@ def test_zeta2_matches_pi_squared_over_six():
 
 def test_zeta_two_parameter_choices_agree_to_30_digits():
     # two Borwein term counts (chosen for 30 and 80 digits) agree to 30
-    a, _, _ = _zeta_minus_one_cached(3, 30, 10 ** 6)
-    b, _, _ = _zeta_minus_one_cached(3, 80, 10 ** 6)
+    a, _, _ = _zeta_minus_one_cached(3, 30)
+    b, _, _ = _zeta_minus_one_cached(3, 80)
     with mpmath.workdps(45):
         assert abs(a - b) < mpmath.mpf(10) ** -30
 
@@ -170,10 +170,12 @@ def test_euler_even_zeta_formula():
 def test_zeta_value_validation():
     with pytest.raises(ValueError):
         zeta_value(1)
-    # Borwein needs about 93 terms at 60 digits
-    tiny = PrecisionContext(working_digits=60, zeta_sum_cap=50)
+    # Borwein needs about 2.09M terms at 1.6M digits, past the cap of 2M;
+    # the cap refuses before any pass is built
+    huge = PrecisionContext(working_digits=1_600_000)
     with pytest.raises(PrecisionUnachievable):
-        zeta_value(2, tiny)
+        zeta_value(2, huge)
+    assert 1_600_000 not in _zeta_passes
 
 
 def test_n_tilde_examples():
@@ -202,11 +204,11 @@ def test_tilde_maps_are_injective(coeffs):
     p = BinomialPoly(coeffs)
     # reconstruct the polynomial from each image: both maps are injective
     t = n_tilde(p)
-    rebuilt = dict(t.coeffs)
+    rebuilt = dict(t.zeta_terms())
     rebuilt[0] = t.constant
     assert BinomialPoly(rebuilt) == p
     t2 = n_tilde2(p)
-    rebuilt2 = {k: (-1) ** (k + 1) * v for k, v in t2.coeffs}
+    rebuilt2 = {k: (-1) ** (k + 1) * v for k, v in t2.zeta_terms()}
     shift = sum((Fraction((-1) ** (k + 1)) * v * (-1 - Fraction(1, 2 ** (k + 1)))
                  for k, v in zip(rebuilt2, rebuilt2.values())), Fraction(0))
     rebuilt2[0] = (t2.constant - shift) * 2
@@ -224,7 +226,7 @@ def test_zeta_number_examples():
 def test_zeta_expr_shifted_round_trip():
     e = zeta_number(star_poset(), "tilde2")
     assert e.shifted_constant() == e.constant + sum(
-        v * (1 + Fraction(1, 2 ** (k + 1))) for k, v in e.coeffs)
+        v * (1 + Fraction(1, 2 ** (k + 1))) for k, v in e.zeta_terms())
 
 
 def test_finite_form_star_poset():
@@ -323,18 +325,18 @@ def test_inverse_power_sum_vs_partial(classes_upto_4):
 def test_operad_eval_zeta_examples():
     pair = antichain(2)
     got = operad_eval_zeta(pair, [zhat(1), zhat(2)])
-    assert dict(got.coeffs) == {2: -2, 3: 3}
+    assert dict(got.zeta_terms()) == {2: -2, 3: 3}
     # general pattern: -m zhat_m + (m+1) zhat_(m+1)
     for m in range(1, 5):
         got = operad_eval_zeta(pair, [zhat(1), zhat(m)])
-        assert dict(got.coeffs) == {m: -m, m + 1: m + 1}
+        assert dict(got.zeta_terms()) == {m: -m, m + 1: m + 1}
     two = chain(2)
     for k in range(1, 4):
         for j in range(1, 4):
             assert operad_eval_zeta(two, [zhat(k), zhat(j)]) == zhat(k + j)
     N = zigzag_poset()
     got = operad_eval_zeta(N, [zhat(1), zhat(2), zhat(1), zhat(1)])
-    assert dict(got.coeffs) == {3: 2, 4: -8, 5: 7}
+    assert dict(got.zeta_terms()) == {3: 2, 4: -8, 5: 7}
 
 
 def test_operad_eval_zeta_consistency(classes_upto_4):
