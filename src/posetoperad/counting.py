@@ -18,11 +18,10 @@ linear extension, subset sums over downset multichains) live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb
 
-from .errors import EnumerationGuard, PosetOperadError
+from .errors import EnumerationGuard, PosetOperadError, Record, _set
 from .polynomials import (BinomialPoly, cup_coeffs, ordinal_coeffs,
                           weak_sign_flip)
 from .poset import (Poset, _bits, chain, decompose, downsets,
@@ -117,18 +116,18 @@ def count_strict_surjections(P, m, guard=DEFAULT_GUARD):
     return rec(0, 0)
 
 
-@dataclass(frozen=True)
-class DVector:
+class DVector(Record):
     """Inclusion-exclusion vector d_1..d_|P| of a poset.
 
     d_i counts the strict surjections onto chain(i), equivalently the
     i-simplices in the canonical triangulation of the order polytope.
     """
 
-    poset: Poset
-    d: tuple
+    __slots__ = ("poset", "d")
 
-    def __post_init__(self):
+    def __init__(self, poset: Poset, d: tuple):
+        _set(self, "poset", poset)
+        _set(self, "d", d)
         r0 = max_chain_length(self.poset)
         if not all(isinstance(v, int) and v >= 0 for v in self.d):
             raise PosetOperadError(f"d-vector entries must be nonnegative "
@@ -167,12 +166,15 @@ def order_polynomial(P, mode="strict", guard=DEFAULT_GUARD):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class ReciprocityReport:
-    poset: Poset
-    strict_poly: BinomialPoly
-    weak_poly: BinomialPoly
-    passed: bool
+class ReciprocityReport(Record):
+    __slots__ = ("poset", "strict_poly", "weak_poly", "passed")
+
+    def __init__(self, poset: Poset, strict_poly: BinomialPoly,
+                 weak_poly: BinomialPoly, passed: bool):
+        _set(self, "poset", poset)
+        _set(self, "strict_poly", strict_poly)
+        _set(self, "weak_poly", weak_poly)
+        _set(self, "passed", passed)
 
 
 def reciprocity_check(P, guard=DEFAULT_GUARD):
@@ -184,15 +186,19 @@ def reciprocity_check(P, guard=DEFAULT_GUARD):
     return ReciprocityReport(P, strict_poly, weak_poly, lhs == rhs)
 
 
-@dataclass(frozen=True)
-class NestedSumReport:
-    n: int
-    k: int
-    q: int
-    binomial_value: int
-    nested_value: int
-    weak_map_count: int
-    passed: bool
+class NestedSumReport(Record):
+    __slots__ = ("n", "k", "q", "binomial_value", "nested_value",
+                 "weak_map_count", "passed")
+
+    def __init__(self, n: int, k: int, q: int, binomial_value: int,
+                 nested_value: int, weak_map_count: int, passed: bool):
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "q", q)
+        _set(self, "binomial_value", binomial_value)
+        _set(self, "nested_value", nested_value)
+        _set(self, "weak_map_count", weak_map_count)
+        _set(self, "passed", passed)
 
 
 def nested_sum_identity_check(n, k, q):

@@ -9,24 +9,27 @@ printed one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .counting import count_strict_surjections, d_vector
+from .errors import Record, _set
 from .polynomials import MonomialPoly, stirling2
 from .poset import chain, lex_sum
 from .series import series_of, zigzag_poset
 from .zeta import operad_eval_zeta, zhat
 
 
-@dataclass(frozen=True)
-class Discrepancy:
-    case_id: str
-    published: str
-    derived: str
-    note: str
-    confirmed: bool
+class Discrepancy(Record):
+    __slots__ = ("case_id", "published", "derived", "note", "confirmed")
+
+    def __init__(self, case_id: str, published: str, derived: str, note: str,
+                 confirmed: bool):
+        _set(self, "case_id", case_id)
+        _set(self, "published", published)
+        _set(self, "derived", derived)
+        _set(self, "note", note)
+        _set(self, "confirmed", confirmed)
 
     def to_json_dict(self):
         return {"id": self.case_id, "published": self.published,

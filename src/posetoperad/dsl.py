@@ -25,51 +25,64 @@ parsing and resolving never exhaust the interpreter's stack.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import ArityError, ExprSyntaxError, UnknownName
+from .errors import ArityError, ExprSyntaxError, Record, UnknownName, _set
 from .poset import antichain, chain, construct_poset, lex_sum
 
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class ChainLit:
-    n: int
+class ChainLit(Record):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True)
-class AntichainLit:
-    n: int
+class AntichainLit(Record):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True)
-class HasseLit:
-    labels: tuple
-    covers: tuple
+class HasseLit(Record):
+    __slots__ = ("labels", "covers")
+
+    def __init__(self, labels: tuple, covers: tuple):
+        _set(self, "labels", labels)
+        _set(self, "covers", covers)
 
 
-@dataclass(frozen=True)
-class Union:
-    left: object
-    right: object
+class Union(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class OrdinalSum:
-    left: object
-    right: object
+class OrdinalSum(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class LexApply:
-    outer: object
-    args: tuple
+class LexApply(Record):
+    __slots__ = ("outer", "args")
+
+    def __init__(self, outer, args: tuple):
+        _set(self, "outer", outer)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
 _TOKEN_RE = re.compile(
@@ -81,12 +94,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+class _Tok(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 def _tokenize(text):

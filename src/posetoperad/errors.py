@@ -1,4 +1,62 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``Record``, the base of
+its immutable value classes: every module that defines one already imports
+this module, and ``dataclasses`` (with the ``inspect``, ``ast`` and ``dis``
+it loads) stays out of every command's start-up."""
+
+from operator import attrgetter
+
+# sets a Record field from its __init__, past the frozen __setattr__
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__`` and sets each of them once,
+    with ``_set``, in an ``__init__`` that takes them in the same order.
+    After that, assigning or deleting a field raises AttributeError.  Two
+    records are equal when they have the same type and equal fields, the
+    hash follows the class name and the fields, and the repr is
+    ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # what == and hash() read, in one C call: the class name, then the
+        # fields
+        cls._type_name = cls.__qualname__
+        cls._key = attrgetter("_type_name", *cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def _values(self):
+        return self._key(self)[1:]
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}"
+                           for f, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(*[changes.pop(f, v) for f, v
+                            in zip(self.__slots__, self._values())], **changes)
 
 
 class PosetOperadError(Exception):

@@ -13,14 +13,15 @@ cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .counting import DEFAULT_GUARD, check_guard, order_polynomial
+from .counting import (DEFAULT_GUARD, check_guard, d_vector,
+                       order_polynomial)
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
-                     ModeMismatch, UnknownIdentity)
+                     ModeMismatch, PosetOperadError, Record, UnknownIdentity,
+                     _set)
 from .polynomials import (MonomialPoly, SparseVec, clean_coeffs, cup_coeffs,
                           ordinal_coeffs, weak_sign_flip)
 from .poset import (Poset, chain, construct_poset, disjoint_union, lex_sum,
@@ -107,13 +108,15 @@ def inverse_power_sum(P, r, mode=STRICT, guard=DEFAULT_GUARD):
     return series_of(P, mode, guard).eval_at(1 / r)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(Record):
     """numerator(x) / (1-x)^den_power with exact rational numerator."""
 
-    numerator: tuple
-    den_power: int
-    mode: str
+    __slots__ = ("numerator", "den_power", "mode")
+
+    def __init__(self, numerator: tuple, den_power: int, mode: str):
+        _set(self, "numerator", numerator)
+        _set(self, "den_power", den_power)
+        _set(self, "mode", mode)
 
     def numerator_poly(self):
         return MonomialPoly(dict(enumerate(self.numerator)))
@@ -203,10 +206,12 @@ def operad_eval_series(P, args, guard=DEFAULT_GUARD):
     """Action of the poset P on strict order series.
 
     Exact mode (every argument carries provenance): the series of the
-    lexicographic sum of the argument posets.  Otherwise the chain-slot
-    action Z_k1, ..., Z_kq -> series(P[C_k1, ..., C_kq]) is extended
-    multilinearly.  The two agree for every outer P, series-parallel or
-    not, so the multilinear route is proven:
+    lexicographic sum of the argument posets; an argument whose
+    coefficients are not its provenance's series raises PosetOperadError.
+    Otherwise the chain-slot action Z_k1, ..., Z_kq ->
+    series(P[C_k1, ..., C_kq]) is extended multilinearly.  The two agree
+    for every outer P, series-parallel or not, so the multilinear route is
+    proven:
 
     A map f on P[P_1..P_q] is strictly order-preserving exactly when each
     restriction to a block is, and max f(P_i) < min f(P_j) whenever
@@ -224,10 +229,12 @@ def operad_eval_series(P, args, guard=DEFAULT_GUARD):
     return operad_eval_series_report(P, args, guard).series
 
 
-@dataclass(frozen=True)
-class OperadEvalReport:
-    series: SeriesVec
-    mode_used: str           # "exact" or "multilinear"
+class OperadEvalReport(Record):
+    __slots__ = ("series", "mode_used")
+
+    def __init__(self, series: SeriesVec, mode_used: str):
+        _set(self, "series", series)
+        _set(self, "mode_used", mode_used)   # "exact" or "multilinear"
 
     @property
     def conjectural(self):
@@ -253,18 +260,29 @@ def operad_eval_series_report(P, args, guard=DEFAULT_GUARD):
     if all(a.provenance is not None for a in args):
         composite = lex_sum(P, [a.provenance for a in args])
         check_guard(len(composite), guard)
+        for i, a in enumerate(args):
+            # series_of(a.provenance) without building it: the nonzero
+            # entries of the cached d-vector, or the unit for the empty poset
+            d = d_vector(a.provenance, guard).d
+            if a.coeffs != ({k: v for k, v in enumerate(d, 1) if v} or {0: 1}):
+                raise PosetOperadError(
+                    f"slot {i + 1} ({P.elements[i]}): {a.render()} is not "
+                    f"the series of its provenance poset")
         return OperadEvalReport(series_of(composite, STRICT, guard), "exact")
     return OperadEvalReport(_multilinear_eval(P, args, guard), "multilinear")
 
 
-@dataclass(frozen=True)
-class SeriesIdentityReport:
-    name: str
-    params: tuple
-    passed: bool
-    lhs: str
-    rhs: str
-    notes: tuple = ()
+class SeriesIdentityReport(Record):
+    __slots__ = ("name", "params", "passed", "lhs", "rhs", "notes")
+
+    def __init__(self, name: str, params: tuple, passed: bool, lhs: str,
+                 rhs: str, notes: tuple = ()):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "passed", passed)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "notes", notes)
 
 
 def series_identity_check(name, params, guard=DEFAULT_GUARD):

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .counting import DEFAULT_GUARD, count_maps, d_vector, order_polynomial
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
-                     PosetOperadError, PrecisionUnachievable)
+                     PosetOperadError, PrecisionUnachievable, Record, _set)
 from .polynomials import BinomialPoly, SparseVec, render_sum
 from .poset import Poset, chain, lex_sum, max_chain_length
 # inverse_power_sum lives in series, next to SeriesVec.eval_at; it is bound
@@ -30,8 +29,7 @@ from .poset import Poset, chain, lex_sum, max_chain_length
 from .series import STRICT, SeriesVec, inverse_power_sum
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(Record):
     """Numeric policy: working digits, verification tolerance, term cap.
 
     The tolerance must stay looser than the guaranteed truncation and
@@ -39,9 +37,14 @@ class PrecisionContext:
     PrecisionUnachievable when they cannot honor that.
     """
 
-    working_digits: int = 50
-    verify_tolerance: float = 1e-12
-    series_term_cap: int = 4000
+    __slots__ = ("working_digits", "verify_tolerance", "series_term_cap")
+
+    def __init__(self, working_digits: int = 50,
+                 verify_tolerance: float = 1e-12,
+                 series_term_cap: int = 4000):
+        _set(self, "working_digits", working_digits)
+        _set(self, "verify_tolerance", verify_tolerance)
+        _set(self, "series_term_cap", series_term_cap)
 
 
 DEFAULT_CTX = PrecisionContext()
@@ -370,21 +373,31 @@ def operad_eval_zeta(P, args, guard=DEFAULT_GUARD):
     return zeta_number(lex_sum(P, [a.provenance for a in args]), "tilde2", guard)
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(Record):
     """A claimed equality between a zeta-shifted series and a finite form."""
 
-    lhs_description: str
-    rhs: ZetaExpr
-    poset: Poset | None = None
-    lhs_poly: BinomialPoly | None = None
-    alternating: bool = True
-    start_index: int = 1
-    lhs_numeric: object = None
-    rhs_numeric: object = None
-    error_bound: float | None = None
-    passed: bool | None = None
-    notes: tuple = ()
+    __slots__ = ("lhs_description", "rhs", "poset", "lhs_poly", "alternating",
+                 "start_index", "lhs_numeric", "rhs_numeric", "error_bound",
+                 "passed", "notes")
+
+    def __init__(self, lhs_description: str, rhs: ZetaExpr,
+                 poset: Poset | None = None,
+                 lhs_poly: BinomialPoly | None = None,
+                 alternating: bool = True, start_index: int = 1,
+                 lhs_numeric: object = None, rhs_numeric: object = None,
+                 error_bound: float | None = None,
+                 passed: bool | None = None, notes: tuple = ()):
+        _set(self, "lhs_description", lhs_description)
+        _set(self, "rhs", rhs)
+        _set(self, "poset", poset)
+        _set(self, "lhs_poly", lhs_poly)
+        _set(self, "alternating", alternating)
+        _set(self, "start_index", start_index)
+        _set(self, "lhs_numeric", lhs_numeric)
+        _set(self, "rhs_numeric", rhs_numeric)
+        _set(self, "error_bound", error_bound)
+        _set(self, "passed", passed)
+        _set(self, "notes", notes)
 
     def to_json_dict(self):
         return {
@@ -468,9 +481,10 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
     bound = (float(tail) + term_bound + rhs_bound
              + _float_up(Fraction(floors, 1 << B)))
     _check_bound(bound, ctx)
-    return replace(rec, lhs_numeric=lhs_val, rhs_numeric=rhs_val,
-                   error_bound=bound, passed=_within(lhs_val, rhs_val, bound, ctx),
-                   notes=rec.notes + (f"lhs summed to k={N}",))
+    return rec._replace(lhs_numeric=lhs_val, rhs_numeric=rhs_val,
+                        error_bound=bound,
+                        passed=_within(lhs_val, rhs_val, bound, ctx),
+                        notes=rec.notes + (f"lhs summed to k={N}",))
 
 
 def finite_form_identity(P, guard=DEFAULT_GUARD):

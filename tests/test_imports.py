@@ -49,11 +49,16 @@ NUMERIC = ["mpmath", "posetoperad.zeta", "posetoperad.discrepancies",
            "posetoperad.catalog"]
 
 
+# what `dataclasses` would load; no command needs any of it
+HEAVY = {"dataclasses", "inspect", "ast", "dis"}
+
+
 def _loaded_after(code):
-    """The posetoperad and mpmath modules loaded after running code in a
-    fresh interpreter."""
+    """The posetoperad, mpmath and HEAVY modules loaded after running code
+    in a fresh interpreter."""
+    roots = ("posetoperad", "mpmath", *sorted(HEAVY))
     code += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
-             "sys.modules if m.split('.')[0] in ('posetoperad', 'mpmath'))))")
+             f"sys.modules if m.split('.')[0] in {roots!r})))")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=60)
@@ -120,6 +125,7 @@ def test_commands_without_numerics_load_no_numeric_module(argv):
             f"    assert cli.main({argv!r}) == 0\n")
     loaded = _loaded_after(code)
     assert not loaded & set(NUMERIC), loaded
+    assert not loaded & HEAVY, loaded
     if argv[0] not in ("series", "inverse-sum"):
         assert "posetoperad.series" not in loaded, loaded
 
@@ -135,6 +141,7 @@ def test_numeric_commands_load_no_mpmath(argv):
     loaded = _loaded_after(code)
     assert "posetoperad.zeta" in loaded
     assert not {m for m in loaded if m.split(".")[0] == "mpmath"}, loaded
+    assert not loaded & HEAVY, loaded
 
 
 BLOCK_MPMATH = """
@@ -168,3 +175,10 @@ def test_package_runs_with_mpmath_blocked():
         "    raise AssertionError('the blocker let mpmath in')\n")
     loaded = _loaded_after(code)
     assert "posetoperad.zeta" in loaded
+
+
+def test_cli_import_and_parser_load_no_dataclasses():
+    loaded = _loaded_after("import posetoperad.cli\n"
+                           "posetoperad.cli.build_parser()\n")
+    assert "posetoperad.cli" in loaded
+    assert not loaded & HEAVY, loaded

@@ -5,13 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from posetoperad.counting import count_maps, d_vector
+from posetoperad.counting import DEFAULT_GUARD, count_maps, d_vector
 from posetoperad.errors import (ArityMismatch, MissingProvenance,
-                                ModeMismatch, UnknownIdentity)
+                                ModeMismatch, PosetOperadError,
+                                UnknownIdentity)
 from posetoperad.polynomials import eulerian_polynomial
 from posetoperad.poset import (antichain, chain, construct_poset,
                                disjoint_union, lex_sum, ordinal_sum)
-from posetoperad.series import (SeriesVec, basis_series, closed_form,
+from posetoperad.series import (SeriesVec, _multilinear_eval, basis_series,
+                                closed_form,
                                 hadamard, iota, operad_eval_series,
                                 operad_eval_series_report, ordinal_mul,
                                 series_identity_check, series_of,
@@ -143,11 +145,29 @@ def test_operad_eval_errors():
 
 
 def test_operad_eval_exact_vs_multilinear(classes_upto_4):
-    # chain-provenanced arguments must agree across both evaluation routes
+    # chain-provenanced arguments must agree across both evaluation routes:
+    # the exact route on the provenance, the multilinear one on the same
+    # series without it
     for P in classes_upto_4[3]:
-        for ks in [(1, 1, 1), (2, 1, 1), (1, 2, 3)]:
-            rep = operad_eval_series_report(P, [basis_series(k) for k in ks])
+        for ks in [(1, 1, 1), (2, 1, 1), (1, 2, 3), (0, 2, 1)]:
+            args = [basis_series(k) for k in ks]
+            rep = operad_eval_series_report(P, args)
             assert rep.mode_used == "exact" and rep.crosschecked
+            bare = [SeriesVec("strict", a.coeffs) for a in args]
+            assert _multilinear_eval(P, bare, DEFAULT_GUARD) == rep.series
+
+
+def test_exact_route_refuses_coefficients_that_contradict_provenance():
+    # 5 Z_1 carrying chain(1): the exact route would answer Z_2, the
+    # multilinear one 5 Z_2
+    bad = SeriesVec("strict", {1: 5}, provenance=chain(1))
+    with pytest.raises(PosetOperadError, match="slot 1"):
+        operad_eval_series(chain(2), [bad, basis_series(1)])
+    with pytest.raises(PosetOperadError, match="slot 2"):
+        operad_eval_series(chain(2), [basis_series(1), bad])
+    assert operad_eval_series(
+        chain(2), [SeriesVec("strict", {1: 5}), basis_series(1)]) == \
+        SeriesVec("strict", {2: 5})
 
 
 def test_exact_route_matches_multilinear_on_prime_outers(classes_upto_5):
