@@ -25,9 +25,8 @@ _EXPORTS = {
               "tropical_eval"),
     "series": ("ClosedForm", "SeriesVec", "basis_series", "closed_form",
                "hadamard", "inverse_power_sum", "iota",
-               "operad_eval_series", "operad_eval_series_report",
-               "ordinal_mul", "series_of", "series_identity_check",
-               "zigzag_poset"),
+               "operad_eval_series", "ordinal_mul", "series_of",
+               "series_identity_check", "zigzag_poset"),
     "zeta": ("IdentityRecord", "PrecisionContext", "ZetaExpr",
              "alternating_unit_record", "binomial_shift_record",
              "entry22_check", "finite_form_identity", "goldbach_record",

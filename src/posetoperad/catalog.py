@@ -119,11 +119,11 @@ def iso_classes(n):
 def _points_only(tree):
     if isinstance(tree, int):
         return tree & (tree - 1) == 0
-    return all(_points_only(part) for part in tree[1])
+    return tree[0] != "Q" and all(_points_only(part) for part in tree[1])
 
 
 @lru_cache(maxsize=None)
 def is_series_parallel(P):
     """True iff P is generated from points by disjoint union and ordinal
-    sum: its decomposition (``poset.decompose``) has no prime piece."""
+    sum: its decomposition (``poset.decompose``) has no prime part."""
     return _points_only(decompose(P))

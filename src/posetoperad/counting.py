@@ -3,29 +3,29 @@ reciprocity checking.
 
 One engine counts: the d-vector, d_i = the number of strict surjections
 P -> chain(i), which is both the strict order polynomial over {C(x, i)}
-and the strict order series over Z_i.  It is read off the series-parallel
-decomposition of P (``poset.decompose``), as the paper's operad does: a
-disjoint union multiplies its parts' vectors by the Hadamard product
-(``polynomials.cup_coeffs``), an ordinal sum by the ordinal product
-(``polynomials.ordinal_coeffs``).  Only a point or a prime piece, which
-neither operation splits, runs the DP over its downsets, which are
-enumerated in time proportional to their number (``poset.downsets``).
+and the strict order series over Z_i.  It is read off the substitution
+decomposition of P (``poset.decompose``), as the paper's operad composes
+posets: Hadamard products (``polynomials.cup_coeffs``) at disjoint
+unions, ordinal products (``polynomials.ordinal_coeffs``) at ordinal
+sums, and at prime quotients and prime pieces one DP over the levels of a
+surjection, each block weighted by its own vector.  With any rational
+vectors in the slots the same walk is the operad action on series.
 Every map count is then an evaluation of the order polynomial; the weak
 count follows by reciprocity.  The literal counters (backtracking along a
-linear extension, subset sums over downset multichains) live in
-``tests/oracles.py`` as independent referees.
+linear extension, subset sums over downset multichains, the downset
+recursion) live in ``tests/oracles.py`` as independent referees.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb
+from math import comb, lcm, prod
 
 from .errors import EnumerationGuard, PosetOperadError, Record, _set
 from .polynomials import (BinomialPoly, cup_coeffs, ordinal_coeffs,
                           weak_sign_flip)
-from .poset import (Poset, _bits, chain, decompose, downsets,
-                    max_chain_length)
+from .poset import Poset, _bits, chain, decompose, max_chain_length
 
 DEFAULT_GUARD = 12
 
@@ -36,42 +36,88 @@ def check_guard(size, guard):
         raise EnumerationGuard(f"|P| = {size} exceeds enumeration guard {guard}")
 
 
-def _prime_coeffs(below, mask):
-    """{i: d_i} of the piece on ``mask`` by the downset DP.
+def _block_dp(below, ids, vectors):
+    """{m: c_m} of the lexicographic sum over the order ``below`` on the
+    blocks ``ids`` (a mask), block i carrying the integer vector vectors[i].
+    Read level by level, a block starts after those below it close and
+    counts c_k if it closes after k levels.  A state is a downset D of the
+    composite with a K-chain per block (K its top index), a closed block
+    full; f_D(x), the weighted ways to reach D in m levels, is x times the
+    sum of f over the states that drop a nonempty set of D's maximal
+    elements: the top level of an open block, or of a block whose one
+    weight is factored out, or levels k..K of a closed block, weighted c_k.
+    With points only this is the downset DP.  f is held at x = 2^B, B
+    above every coefficient and its sign: one addition adds polynomials."""
+    spans, size, order, bound, factor, close = {}, 0, [], 1, 1, {}
+    for i in sorted(_bits(ids), key=lambda i: below[i].bit_count()):
+        vec = vectors[i]
+        if 0 in vec:  # the unit, the empty poset, deletes block i
+            rest = {k: c for k, c in vec.items() if k}
+            out = _block_dp(below, ids, vectors[:i] + [rest]
+                            + vectors[i + 1:]) if rest else {}
+            for m, c in _block_dp(below, ids ^ 1 << i, vectors).items():
+                out[m] = out.get(m, 0) + c * vec[0]
+            return out
+        pred = sum(map(spans.__getitem__, _bits(below[i] & ids)))
+        span = spans[i] = ((1 << max(vec)) - 1) << size
+        size = span.bit_length()
+        level = first = span & -span
+        while level & span:  # the levels, in a linear extension
+            order.append((pred | span & (level - 1), level))
+            level <<= 1
+        if len(vec) == 1:
+            factor *= vec[max(vec)]
+        else:
+            bound *= sum(map(abs, vec.values()))
+            close[level >> 1] = [(span & -(first << k - 1), c)
+                                 for k, c in vec.items() if c]
+    closers, B = sum(close), (bound * size ** size).bit_length() + 1
+    states, f = [(0, 0)], {0: 1}  # (downset, its maximal elements)
+    for need, bit in order:  # subsets first (Squire, see poset.downsets)
+        states += [(d | bit, top & ~need | bit)
+                   for d, top in states if d & need == need]
+    for d, top in states[1:]:
+        plain, combos, total = top & ~closers, [(0, 1)], 0
+        if plain != top:  # some block may close here, at one of its k
+            for e in _bits(top ^ plain):
+                combos += [(b | o, w * c) for b, w in combos
+                           for o, c in close[1 << e]]
+        for b, w in combos:
+            part, sub = f[d ^ b] if b else 0, plain
+            while sub:  # the subsets of the plain drops
+                part += f[d ^ b ^ sub]
+                sub = (sub - 1) & plain
+            total += part if w == 1 else part * w
+        f[d] = total << B
+    # balanced digits, as a coefficient may be < 0: add 2^(B-1) to each
+    bias = ((1 << B * (size + 1)) - 1) // ((1 << B) - 1) << (B - 1)
+    value = f[(1 << size) - 1] + bias
+    return {m: c * factor for m in range(size + 1)
+            if (c := (value >> B * m & (1 << B) - 1) - (1 << B - 1))}
 
-    f_D(x) = sum_i x^i (number of chains of i+1 downsets from the empty
-    one to D whose successive differences are nonempty antichains), so
-    f_D = x * sum_S f_(D - S) over the nonempty sets S of maximal elements
-    of D, and d_i is the coefficient of x^i in f_P.  Each f_D is held at
-    x = 2^B: no coefficient reaches 2^B, so the digits do not carry and one
-    integer addition adds whole polynomials.
-    """
-    k = mask.bit_count()
-    B = (k ** k).bit_length()  # coefficients count surjections, <= k^k
-    f = {0: 1}
-    for m in downsets(below, mask)[1:]:  # ascending: each D - S comes first
-        covered = 0
-        for i in _bits(m):
-            covered |= below[i]
-        top = m & ~covered
-        total = 0
-        s = top
-        while s:
-            total += f[m ^ s]
-            s = (s - 1) & top
-        f[m] = total << B
-    digit = (1 << B) - 1
-    return {i: f[mask] >> (B * i) & digit for i in range(1, k + 1)}
+
+def _strict_coeffs(below, tree, slots):
+    """{i: c_i} of a decomposition tree with point j carrying slots[j]."""
+    if isinstance(tree, int):  # a point, a prime piece or the empty mask
+        return (slots[tree.bit_length() - 1] if tree & (tree - 1) == 0 < tree
+                else _block_dp(below, tree, slots))
+    if tree[0] == "Q":
+        return _block_dp(tree[1], (1 << len(tree[2])) - 1,
+                         [_strict_coeffs(below, t, slots) for t in tree[2]])
+    product = cup_coeffs if tree[0] == "|" else ordinal_coeffs
+    return reduce(product, (_strict_coeffs(below, t, slots)
+                            for t in tree[1]))
 
 
-def _strict_coeffs(below, tree):
-    """{i: d_i} of the subposet a decomposition tree describes: products
-    of the parts' vectors, and the DP on points and prime pieces."""
-    if isinstance(tree, int):
-        return _prime_coeffs(below, tree)
-    op, parts = tree
-    product = cup_coeffs if op == "|" else ordinal_coeffs
-    return reduce(product, (_strict_coeffs(below, t) for t in parts))
+def substitute_coeffs(P, slots):
+    """The operad action on nonzero rational vectors: {i: c_i} of P with
+    slot j carrying slots[j], read off ``poset.decompose(P)``; it is
+    linear in each slot, so it runs on the slots scaled to integers."""
+    dens = [lcm(*(c.denominator for c in vec.values())) for vec in slots]
+    out = _strict_coeffs(P._below, decompose(P), [
+        {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
+        for vec, d in zip(slots, dens)])
+    return {m: Fraction(c, prod(dens)) for m, c in out.items()}
 
 
 def count_maps(P, n, mode="strict", guard=DEFAULT_GUARD):
@@ -143,10 +189,9 @@ class DVector(Record):
 @lru_cache(maxsize=None)
 def d_vector(P, guard=DEFAULT_GUARD):
     """d_i = number of strict surjections P -> chain(i), read off the
-    series-parallel decomposition of P (``poset.decompose``)."""
+    substitution decomposition of P (``poset.decompose``)."""
     check_guard(len(P), guard)
-    below = [P.below_mask(i) for i in range(len(P))]
-    d = _strict_coeffs(below, decompose(P))
+    d = _strict_coeffs(P._below, decompose(P), [{1: 1}] * len(P))
     return DVector(P, tuple(d.get(i, 0) for i in range(1, len(P) + 1)))
 
 

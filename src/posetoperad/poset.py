@@ -243,32 +243,66 @@ def _components(mask, adjacent):
     return comps
 
 
+def _maximal_modules(below, above, mask):
+    """The maximal modules, in order of their lowest elements, of a
+    subposet neither operation of ``decompose`` splits.  They partition it
+    over a prime quotient, so a module (a set all else relates to alike)
+    meeting two is all of it (Moehring and Radermacher, 1984).  A module
+    holding u and x holds each y telling x apart from u, so u's block is
+    what does not reach, by such steps, an element outside it: a maximal
+    one if u is minimal, or nothing would be comparable to the block."""
+    u = next(1 << i for i in _bits(mask) if not below[i] & mask)
+    outsider = next(1 << i for i in _bits(mask) if not above[i] & mask)
+    rest, blocks = mask, []
+    while rest:
+        seen = frontier = outsider
+        while frontier and rest & ~seen != u:  # found blocks are outside
+            step = 0
+            for y in _bits(frontier):  # what y tells apart from u
+                b, a = below[y], above[y]
+                step |= ~(b if b & u else a if a & u else ~(a | b))
+            frontier = step & mask & ~seen & ~u
+            seen |= frontier
+        blocks.append(rest & ~seen)
+        rest &= seen
+        outsider, u = u, rest & -rest
+    return sorted(blocks, key=lambda block: block & -block)
+
+
 def decompose(P, mask=None):
-    """Series-parallel decomposition of the subposet of P on ``mask``
-    (default: all of P), as a tree.
+    """Substitution (modular) decomposition of the subposet of P on
+    ``mask`` (default: all of P), as a tree.
 
     ``("|", parts)``: the comparability graph is disconnected, and the
     subposet is the disjoint union of its components.  ``("*", parts)``:
     the incomparability graph is disconnected, and the subposet is the
-    ordinal sum of its components, listed bottom to top (every element of
-    one component is comparable to every element of another, so the
-    components are stacked).  Otherwise the tree is the mask itself: a
-    point, or a prime piece that neither operation splits.
+    ordinal sum of its components, listed bottom to top.  ``("Q",
+    quotient_below, blocks)``: neither splits it, and it is the
+    lexicographic sum of its maximal modules, not all points, over the
+    prime quotient with those strict-below masks.  Otherwise the tree is
+    the mask: a point, or a prime piece of points such as the zigzag.
     """
     if mask is None:
         mask = (1 << len(P)) - 1
     if mask & (mask - 1) == 0:
         return mask
-    parts = _components(mask, lambda i: P.below_mask(i) | P.above_mask(i))
+    below, above = P._below, P._up_masks()
+    parts = _components(mask, lambda i: below[i] | above[i])
     if len(parts) > 1:
         return ("|", tuple(decompose(P, m) for m in parts))
-    parts = _components(mask, lambda i: ~(P.below_mask(i) | P.above_mask(i)))
+    parts = _components(mask, lambda i: ~(below[i] | above[i]))
     if len(parts) > 1:
         # each element of a higher part has all lower parts below it
-        parts.sort(key=lambda m: (P.below_mask(m.bit_length() - 1)
+        parts.sort(key=lambda m: (below[m.bit_length() - 1]
                                   & mask).bit_count())
         return ("*", tuple(decompose(P, m) for m in parts))
-    return mask
+    blocks = _maximal_modules(below, above, mask)
+    if len(blocks) == mask.bit_count():
+        return mask
+    lows = [(b & -b).bit_length() - 1 for b in blocks]  # one speaks for all
+    quotient = tuple(sum(1 << j for j, r in enumerate(lows)
+                         if below[i] >> r & 1) for i in lows)
+    return ("Q", quotient, tuple(decompose(P, b) for b in blocks))
 
 
 def max_chain_length(P):

@@ -14,11 +14,9 @@ cross-checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
 
 from .counting import (DEFAULT_GUARD, check_guard, d_vector,
-                       order_polynomial)
+                       order_polynomial, substitute_coeffs)
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
                      ModeMismatch, PosetOperadError, Record, UnknownIdentity,
                      _set)
@@ -184,82 +182,31 @@ def iota(S):
                      provenance=S.provenance)
 
 
-@lru_cache(maxsize=None)
-def _chain_slot_series(P, lengths, guard):
-    return series_of(lex_sum(P, [chain(k) for k in lengths]), STRICT, guard)
-
-
-def _multilinear_eval(P, args, guard):
-    supports = [sorted(a.coeffs.items()) for a in args]
-    out = {}
-    for combo in product(*supports):
-        coeff = Fraction(1)
-        for _, c in combo:
-            coeff *= c
-        lengths = tuple(i for i, _ in combo)
-        for k, v in _chain_slot_series(P, lengths, guard).coeffs.items():
-            out[k] = out.get(k, 0) + coeff * v
-    return SeriesVec(STRICT, out)
-
-
 def operad_eval_series(P, args, guard=DEFAULT_GUARD):
-    """Action of the poset P on strict order series.
+    """Action of the poset P on strict order series: the series of the
+    lexicographic sum P[P_1..P_q] when slot i carries the series of P_i,
+    extended multilinearly to any rational vectors; Z_0 is the empty poset.
 
-    Exact mode (every argument carries provenance): the series of the
-    lexicographic sum of the argument posets; an argument whose
-    coefficients are not its provenance's series raises PosetOperadError.
-    Otherwise the chain-slot action Z_k1, ..., Z_kq ->
-    series(P[C_k1, ..., C_kq]) is extended multilinearly.  The two agree
-    for every outer P, series-parallel or not, so the multilinear route is
-    proven:
-
-    A map f on P[P_1..P_q] is strictly order-preserving exactly when each
-    restriction to a block is, and max f(P_i) < min f(P_j) whenever
-    i <_P j.  Grouping maps into [n] by the intervals [a_i, b_i] spanned
-    by f(P_i) gives Omega(P[P_1..P_q], n) = the sum over intervals in
-    [1, n] with b_i < a_j for all i <_P j of prod_i h_i(b_i - a_i + 1),
-    where h_i(L) counts the strict maps P_i -> [L] hitting both 1 and L:
-    h_i(1) = Omega_i(1), h_i(L) = Omega_i(L) - 2 Omega_i(L-1) + Omega_i(L-2).
-    Omega_i(L) = sum_k d_k C(L, k) is linear in block i's d-vector, so h_i
-    is too, and the sum is multilinear in the blocks' vectors; C_k has the
-    unit vector at k, so the chains give the basis values.  An empty block
-    has no interval and constrains nothing, exactly as C_0 (the unit Z_0)
-    in that slot, so its slot contributes the factor 1 on both routes.
+    A strict map on P[P_1..P_q] is one on each block, with the levels of
+    block i below those of block j whenever i <_P j: a sum over systems of
+    intervals of products of the blocks' d_k, linear in each block.  It is
+    summed on the decomposition of P (``counting.substitute_coeffs``), not
+    on the composite, whose size, the sum of the arguments' top indices,
+    the guard bounds.  A zero argument gives the zero series.  If every
+    argument carries a provenance poset, its coefficients must be that
+    poset's series (else PosetOperadError), and the result's provenance is
+    the lexicographic sum of the provenances.
     """
-    return operad_eval_series_report(P, args, guard).series
-
-
-class OperadEvalReport(Record):
-    __slots__ = ("series", "mode_used")
-
-    def __init__(self, series: SeriesVec, mode_used: str):
-        _set(self, "series", series)
-        _set(self, "mode_used", mode_used)   # "exact" or "multilinear"
-
-    @property
-    def conjectural(self):
-        """True on the multilinear route, taken when some argument has no
-        provenance; the name is kept, but the route is proven (see
-        operad_eval_series)."""
-        return self.mode_used == "multilinear"
-
-    @property
-    def crosschecked(self):
-        """True on the exact route, where the multilinear extension agrees
-        by proof; the tests compare the two routes."""
-        return self.mode_used == "exact"
-
-
-def operad_eval_series_report(P, args, guard=DEFAULT_GUARD):
     args = list(args)
     if len(args) != len(P):
         raise ArityMismatch(
             f"poset has {len(P)} slots, got {len(args)} series")
     if any(a.mode != STRICT for a in args):
         raise ModeMismatch("operad evaluation needs strict series")
+    provenance = None
     if all(a.provenance is not None for a in args):
-        composite = lex_sum(P, [a.provenance for a in args])
-        check_guard(len(composite), guard)
+        provenance = lex_sum(P, [a.provenance for a in args])
+        check_guard(len(provenance), guard)
         for i, a in enumerate(args):
             # series_of(a.provenance) without building it: the nonzero
             # entries of the cached d-vector, or the unit for the empty poset
@@ -268,8 +215,11 @@ def operad_eval_series_report(P, args, guard=DEFAULT_GUARD):
                 raise PosetOperadError(
                     f"slot {i + 1} ({P.elements[i]}): {a.render()} is not "
                     f"the series of its provenance poset")
-        return OperadEvalReport(series_of(composite, STRICT, guard), "exact")
-    return OperadEvalReport(_multilinear_eval(P, args, guard), "multilinear")
+    elif not all(a.coeffs for a in args):
+        return SeriesVec(STRICT, {})
+    check_guard(sum(a.max_index() for a in args), guard)
+    return SeriesVec(STRICT, substitute_coeffs(P, [a.coeffs for a in args]),
+                     provenance=provenance)
 
 
 class SeriesIdentityReport(Record):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from functools import lru_cache
 
 from .counting import DEFAULT_GUARD, count_maps, d_vector, order_polynomial
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
@@ -119,7 +118,6 @@ def _borwein_size(digits):
     return n, _dps_to_prec(digits + _GUARD_DIGITS) + ulps.bit_length()
 
 
-@lru_cache(maxsize=None)
 def _borwein_weights(n):
     """d_n and (d_n - d_k for k < n), where d_k = n sum_(i<=k) (n+i-1)! 4^i
     / ((n-i)! (2i)!) = sum_(i<=k) n 4^i C(n+i, 2i) / (n+i) are integers.
@@ -173,21 +171,25 @@ class _BorweinPass:
 
 
 _zeta_lock = threading.Lock()
-_zeta_passes = {}  # digits -> _BorweinPass
+_zeta_passes = {}  # digits -> _BorweinPass, the most recently used last
+ZETA_PASSES_KEPT = 4
 
 
 def _zeta_minus_one_cached(s, digits):
     """(zeta(s) - 1, zeta(s), bound) from the pass for the digits,
-    extended to s under the lock."""
+    extended to s under the lock; the ZETA_PASSES_KEPT latest are kept."""
     with _zeta_lock:
-        zp = _zeta_passes.get(digits)
+        zp = _zeta_passes.pop(digits, None)
         if zp is None:
             n, B = _borwein_size(digits)
             if n > ZETA_SUM_CAP:
                 raise PrecisionUnachievable(
                     f"Borwein term count {n} exceeds cap {ZETA_SUM_CAP} "
                     f"for zeta({s})")
-            zp = _zeta_passes[digits] = _BorweinPass(n, B)
+            zp = _BorweinPass(n, B)
+            if len(_zeta_passes) >= ZETA_PASSES_KEPT:
+                del _zeta_passes[next(iter(_zeta_passes))]
+        _zeta_passes[digits] = zp
         zp.extend(s)
         return zp.values[s - 2] + (zp.bound,)
 

@@ -88,6 +88,29 @@ def mask_scan_downsets(P, mask=None):
                     for i in range(k) if m >> i & 1)]
 
 
+def downset_strict_vector(P):
+    """d_1..d_|P| by the downset recursion over all 2^|P| masks: d_i counts
+    the chains of i + 1 downsets from the empty one to P whose successive
+    differences are nonempty antichains, each one a level of a strict
+    surjection onto chain(i)."""
+    k = len(P)
+    chains = {0: [1] + [0] * k}  # downset -> chain counts by length
+    for down in mask_scan_downsets(P)[1:]:
+        covered = 0
+        for i in range(k):
+            if down >> i & 1:
+                covered |= P.below_mask(i)
+        top = down & ~covered  # the maximal elements of the downset
+        counts = [0] * (k + 1)
+        drop = top
+        while drop:
+            for i, c in enumerate(chains[down ^ drop][:k]):
+                counts[i + 1] += c
+            drop = (drop - 1) & top
+        chains[down] = counts
+    return tuple(chains[(1 << k) - 1][1:])
+
+
 def naive_strict_surjections(P, m):
     rel = list(P.index_pairs())
     full = set(range(m))

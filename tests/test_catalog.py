@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from posetoperad.catalog import (canonical_key, is_series_parallel,
@@ -68,3 +69,13 @@ def test_series_parallel_matches_induced_zigzag_oracle(classes_upto_6):
     for reps in classes_upto_6.values():
         for P in reps:
             assert is_series_parallel(P) == (not has_induced_zigzag(P))
+
+
+def test_series_parallel_flags_unchanged_by_quotient_nodes():
+    # a "Q" node is not series-parallel: the flags of every class of up to
+    # 6 elements are pinned by their hash; 239 of the 406 classes are
+    flags = "".join("1" if is_series_parallel(P) else "0"
+                    for n in range(7) for P in iso_classes(n))
+    assert flags.count("1") == 239
+    assert hashlib.sha256(flags.encode()).hexdigest() == (
+        "13eb355dd7be1a1a4b8881144398a2e0d64341bf6284e206e7ac8e032efa6ebc")

@@ -23,9 +23,9 @@ from posetoperad.poset import (antichain, chain, construct_poset, lex_sum,
                                max_chain_length, ordinal_sum)
 from posetoperad.series import zigzag_poset
 
-from oracles import (backtracking_count_maps, naive_count_maps,
-                     naive_linear_extensions, naive_strict_surjections,
-                     subset_sum_weak_count)
+from oracles import (backtracking_count_maps, downset_strict_vector,
+                     naive_count_maps, naive_linear_extensions,
+                     naive_strict_surjections, subset_sum_weak_count)
 
 
 def star_poset():
@@ -127,6 +127,20 @@ def test_d_vector_closed_forms_past_the_old_reach():
     # linear extensions of C30 | A6: places of the 6 free points among 36
     assert d_vector(parse_poset("C30 | A6"), guard=36).d[-1] == (
         factorial(36) // factorial(30))
+
+
+def test_d_vector_of_a_sum_over_the_zigzag():
+    # Z(A5, A5, A5, A5): the block DP over the zigzag quotient, pinned
+    Z = zigzag_poset()
+    assert d_vector(lex_sum(Z, [antichain(5)] * 4), guard=20).d == (
+        0, 1, 3005, 1615745, 182266680, 8058571140, 178440490800,
+        2298182046000, 18902911075200, 105550829794800, 416702597580000,
+        1194318445068000, 2524403360736000, 3960410821776000,
+        4599148256640000, 3900388705920000, 2347522560000000,
+        949800038400000, 231656371200000, 25739596800000)
+    # a smaller sum against the oracle's downset recursion
+    S = lex_sum(Z, [antichain(2), chain(2), antichain(1), antichain(3)])
+    assert d_vector(S).d == downset_strict_vector(S)
 
 
 def test_d_vector_is_surjection_count(classes_upto_4):

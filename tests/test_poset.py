@@ -205,10 +205,51 @@ def test_downsets_match_mask_scan(classes_upto_6):
             assert downsets(below, mask) == mask_scan_downsets(P, mask)
 
 
+def _is_module(P, node, m):
+    """No element of ``node`` outside ``m`` tells two elements of m apart."""
+    for x in range(len(P)):
+        if node >> x & 1 and not m >> x & 1:
+            kinds = {(P.below_mask(x) >> i & 1, P.above_mask(x) >> i & 1)
+                     for i in range(len(P)) if m >> i & 1}
+            if len(kinds) > 1:
+                return False
+    return True
+
+
+def _has_proper_module(P, node):
+    """A module of the subposet on ``node`` with 2 .. |node| - 1 elements,
+    by trying every subset."""
+    elems = [i for i in range(len(P)) if node >> i & 1]
+    for pick in range(1, 1 << len(elems)):
+        m = sum(1 << e for t, e in enumerate(elems) if pick >> t & 1)
+        if 1 < m.bit_count() < len(elems) and _is_module(P, node, m):
+            return True
+    return False
+
+
 def _tree_mask(P, tree):
-    """The elements a decomposition tree covers; asserts each split."""
+    """The elements a decomposition tree covers; asserts each split, that
+    the blocks of a "Q" node are modules partitioning it over a prime
+    quotient, and that a prime piece has no proper module."""
     if isinstance(tree, int):
+        if 1 < tree.bit_count() <= 8:
+            assert not _has_proper_module(P, tree)
         return tree
+    if tree[0] == "Q":
+        _, quotient, parts = tree
+        masks = [_tree_mask(P, part) for part in parts]
+        node = sum(masks)
+        assert len(masks) >= 4 and node.bit_count() > len(masks)
+        for i, m in enumerate(masks):
+            assert all(m & other == 0 for other in masks[i + 1:])
+            assert _is_module(P, node, m)
+            low = (m & -m).bit_length() - 1
+            assert quotient[i] == sum(1 << j for j, other in enumerate(masks)
+                                      if j != i and P.below_mask(low) & other)
+        outer = Poset([str(i) for i in range(len(masks))], quotient)
+        assert decompose(outer) == (1 << len(masks)) - 1
+        assert not _has_proper_module(outer, (1 << len(masks)) - 1)
+        return node
     op, parts = tree
     masks = [_tree_mask(P, part) for part in parts]
     for lo in range(len(masks)):
@@ -225,9 +266,39 @@ def _tree_mask(P, tree):
 
 
 def test_decompose_splits_hold(classes_upto_6):
+    quotients = 0
     for reps in classes_upto_6.values():
         for P in reps:
-            assert _tree_mask(P, decompose(P)) == (1 << len(P)) - 1
+            tree = decompose(P)
+            assert _tree_mask(P, tree) == (1 << len(P)) - 1
+            quotients += not isinstance(tree, int) and tree[0] == "Q"
+    assert quotients == 84
     assert decompose(ordinal_sum(antichain(2), chain(1))) == (
         "*", (("|", (1, 2)), 4))
     assert decompose(zigzag_poset()) == 0b1111
+    # the zigzag with its top y doubled: y and y' form a module, and the
+    # quotient is the zigzag again
+    twin = lex_sum(zigzag_poset(), [chain(1), antichain(2), chain(1),
+                                    chain(1)])
+    assert decompose(twin) == ("Q", zigzag_poset()._below,
+                               (1, ("|", (2, 4)), 8, 16))
+
+
+def test_decompose_sums_over_prime_outers(classes_upto_5):
+    from posetoperad.catalog import is_series_parallel
+    pool = [Q for n in range(1, 4) for Q in classes_upto_5[n]]
+    outers = [P for n in (4, 5) for P in classes_upto_5[n]
+              if not is_series_parallel(P)]
+    assert len(outers) == 16
+    rng = random.Random(20261018)
+    over_primes = 0
+    for P in outers:
+        for _ in range(5):
+            S = lex_sum(P, [rng.choice(pool) for _ in range(len(P))])
+            tree = decompose(S)
+            assert _tree_mask(S, tree) == (1 << len(S)) - 1
+            if isinstance(decompose(P), int) and len(S) > len(P):
+                # over a prime outer the blocks are the maximal modules
+                assert tree[0] == "Q" and tree[1] == P._below
+                over_primes += 1
+    assert over_primes > 20

@@ -16,8 +16,7 @@ from posetoperad.dsl import (AntichainLit, ChainLit, HasseLit, LexApply,
 from posetoperad.errors import PosetOperadError, Record
 from posetoperad.polynomials import BinomialPoly
 from posetoperad.poset import antichain, chain
-from posetoperad.series import (ClosedForm, OperadEvalReport,
-                                SeriesIdentityReport, basis_series)
+from posetoperad.series import ClosedForm, SeriesIdentityReport
 from posetoperad.zeta import IdentityRecord, PrecisionContext, ZetaExpr
 
 # each record class with the field values of one instance, and the same
@@ -39,8 +38,6 @@ SAMPLES = [
       order_polynomial(chain(2), "weak"), False)),
     (NestedSumReport, (3, 2, 1, 6, 6, 6, True), (3, 2, 1, 6, 6, 7, False)),
     (ClosedForm, ((0, 1), 2, "weak"), ((0, 1), 3, "weak")),
-    (OperadEvalReport, (basis_series(2), "exact"),
-     (basis_series(2), "multilinear")),
     (SeriesIdentityReport, ("hstar_top", (("poset", "x<y"),), True, "a", "b",
                             ("note",)),
      ("hstar_top", (("poset", "x<y"),), True, "a", "b", ())),

@@ -1,25 +1,24 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from posetoperad.counting import DEFAULT_GUARD, count_maps, d_vector
-from posetoperad.errors import (ArityMismatch, MissingProvenance,
-                                ModeMismatch, PosetOperadError,
-                                UnknownIdentity)
+from posetoperad.counting import count_maps, d_vector
+from posetoperad.errors import (ArityMismatch, EnumerationGuard,
+                                MissingProvenance, ModeMismatch,
+                                PosetOperadError, UnknownIdentity)
 from posetoperad.polynomials import eulerian_polynomial
 from posetoperad.poset import (antichain, chain, construct_poset,
                                disjoint_union, lex_sum, ordinal_sum)
-from posetoperad.series import (SeriesVec, _multilinear_eval, basis_series,
-                                closed_form,
+from posetoperad.series import (SeriesVec, basis_series, closed_form,
                                 hadamard, iota, operad_eval_series,
-                                operad_eval_series_report, ordinal_mul,
-                                series_identity_check, series_of,
+                                ordinal_mul, series_identity_check, series_of,
                                 zigzag_poset)
 
-from oracles import closed_form_expand
+from oracles import closed_form_expand, downset_strict_vector
 
 
 def star_poset():
@@ -144,22 +143,31 @@ def test_operad_eval_errors():
         operad_eval_series(N, [series_of(chain(1), "weak")] * 4)
 
 
+def _referee(P, blocks):
+    """The strict series of the lexicographic sum, counted by the oracle's
+    downset recursion on the composite itself."""
+    d = downset_strict_vector(lex_sum(P, blocks))
+    return SeriesVec("strict", {i: v for i, v in enumerate(d, 1)} or {0: 1})
+
+
 def test_operad_eval_exact_vs_multilinear(classes_upto_4):
-    # chain-provenanced arguments must agree across both evaluation routes:
-    # the exact route on the provenance, the multilinear one on the same
-    # series without it
+    # chain arguments with and without their provenance give the series of
+    # the lexicographic sum over chains
     for P in classes_upto_4[3]:
         for ks in [(1, 1, 1), (2, 1, 1), (1, 2, 3), (0, 2, 1)]:
             args = [basis_series(k) for k in ks]
-            rep = operad_eval_series_report(P, args)
-            assert rep.mode_used == "exact" and rep.crosschecked
+            expect = _referee(P, [chain(k) for k in ks])
+            got = operad_eval_series(P, args)
+            assert got == expect
+            assert got.provenance == lex_sum(P, [chain(k) for k in ks])
             bare = [SeriesVec("strict", a.coeffs) for a in args]
-            assert _multilinear_eval(P, bare, DEFAULT_GUARD) == rep.series
+            got = operad_eval_series(P, bare)
+            assert got == expect and got.provenance is None
 
 
 def test_exact_route_refuses_coefficients_that_contradict_provenance():
-    # 5 Z_1 carrying chain(1): the exact route would answer Z_2, the
-    # multilinear one 5 Z_2
+    # 5 Z_1 carrying chain(1): its provenance says Z_1, its coefficients
+    # 5 Z_1; without the provenance it is a plain vector
     bad = SeriesVec("strict", {1: 5}, provenance=chain(1))
     with pytest.raises(PosetOperadError, match="slot 1"):
         operad_eval_series(chain(2), [bad, basis_series(1)])
@@ -170,9 +178,9 @@ def test_exact_route_refuses_coefficients_that_contradict_provenance():
         SeriesVec("strict", {2: 5})
 
 
-def test_exact_route_matches_multilinear_on_prime_outers(classes_upto_5):
-    # the multilinearity proof in operad_eval_series, checked on every
-    # outer of up to 5 elements that is not series-parallel
+def test_operad_eval_matches_referee_on_prime_outers(classes_upto_5):
+    # every outer of up to 5 elements that is not series-parallel, with
+    # seeded blocks of up to 3 elements, one of them empty in each first draw
     from posetoperad.catalog import is_series_parallel
     pool = [Q for n in range(4) for Q in classes_upto_5[n]]  # C0..3 classes
     empty = classes_upto_5[0][0]
@@ -185,41 +193,83 @@ def test_exact_route_matches_multilinear_on_prime_outers(classes_upto_5):
             blocks = [rng.choice(pool) for _ in range(len(P))]
             if draw == 0:
                 blocks[rng.randrange(len(P))] = empty
+            expect = _referee(P, blocks)
             args = [series_of(Q) for Q in blocks]
+            got = operad_eval_series(P, args, guard=15)
+            assert got == expect, (P, blocks)
+            assert got.provenance == lex_sum(P, blocks)
             bare = [SeriesVec("strict", a.coeffs) for a in args]
-            exact = operad_eval_series_report(P, args, guard=15)
-            multi = operad_eval_series_report(P, bare, guard=15)
-            assert exact.mode_used == "exact" and exact.crosschecked
-            assert multi.mode_used == "multilinear" and multi.conjectural
-            assert exact.series == multi.series, (P, blocks)
+            assert operad_eval_series(P, bare, guard=15) == expect
 
 
-def test_exact_route_runs_only_the_lex_sum(monkeypatch):
+def _referee_bare(P, vecs):
+    """The referee extended multilinearly from chain slots to the
+    coefficient maps ``vecs``; index 0 is the empty chain."""
+    out = SeriesVec("strict", {})
+    for combo in product(*(sorted(v.items()) for v in vecs)):
+        coeff = Fraction(1)
+        for _, c in combo:
+            coeff *= c
+        out = out + _referee(P, [chain(k) for k, _ in combo]).scale(coeff)
+    return out
+
+
+def test_operad_eval_builds_no_lex_sum_without_provenance(
+        classes_upto_5, monkeypatch):
+    # provenance-free arguments are acted on through the decomposition of
+    # the outer poset: no lexicographic sum is built, on any outer class
+    import posetoperad.poset as poset_mod
     import posetoperad.series as series_mod
+    vecs = [{1: 1}, {1: 2, 2: -1}, {0: 1, 2: Fraction(1, 3)}, {3: 1}]
+    cases = []
+    for n in range(1, 6):
+        for P in classes_upto_5[n]:
+            slots = [vecs[i % 4] for i in range(n)]
+            cases.append((P, slots, _referee_bare(P, slots)))
 
     def refuse(*args):
-        raise AssertionError("exact mode ran the multilinear route")
-    monkeypatch.setattr(series_mod, "_multilinear_eval", refuse)
-    N = zigzag_poset()
-    args = [series_of(antichain(2)), basis_series(1), basis_series(0),
-            series_of(chain(2))]
-    rep = operad_eval_series_report(N, args)
-    assert rep.mode_used == "exact"
-    assert rep.series == series_of(lex_sum(N, [a.provenance for a in args]))
-    with pytest.raises(AssertionError):
-        operad_eval_series_report(N, [SeriesVec("strict", {1: 1})] + args[1:])
+        raise AssertionError("a lexicographic sum was built")
+    monkeypatch.setattr(poset_mod, "lex_sum", refuse)
+    monkeypatch.setattr(series_mod, "lex_sum", refuse)
+    for P, slots, expect in cases:
+        got = operad_eval_series(P, [SeriesVec("strict", v) for v in slots])
+        assert got == expect and got.provenance is None, (P, slots)
+    with pytest.raises(AssertionError):  # a provenance is a lexicographic sum
+        operad_eval_series(chain(2), [basis_series(1)] * 2)
 
 
 def test_operad_eval_multilinear_mode_is_linear():
     N = zigzag_poset()
     z1 = basis_series(1)
     bare = SeriesVec("strict", {1: Fraction(1, 2), 2: 3})
-    rep = operad_eval_series_report(N, [bare, z1, z1, z1])
-    assert rep.mode_used == "multilinear" and rep.conjectural
+    got = operad_eval_series(N, [bare, z1, z1, z1])
     part1 = operad_eval_series(N, [basis_series(1), z1, z1, z1])
     part2 = operad_eval_series(N, [basis_series(2), z1, z1, z1])
     expect = part1.scale(Fraction(1, 2)) + part2.scale(3)
-    assert rep.series == expect
+    assert got == expect
+    assert got == _referee_bare(N, [bare.coeffs] + [{1: 1}] * 3)
+
+
+def test_operad_eval_edge_cases():
+    # pinned values: the empty outer, a zero slot, a unit mixed with a
+    # negative coefficient, and the guard on the composite's size
+    unit = operad_eval_series(chain(0), [])
+    assert unit == SeriesVec("strict", {0: 1}) and len(unit.provenance) == 0
+    zero = operad_eval_series(chain(2), [SeriesVec("strict", {}),
+                                         SeriesVec("strict", {20: 1})],
+                              guard=8)
+    assert zero == SeriesVec("strict", {})
+    got = operad_eval_series(antichain(2), [SeriesVec("strict", {0: 1, 1: -2}),
+                                            SeriesVec("strict", {1: 1})])
+    assert got.render() == "-Z_1 - 4 Z_2"
+    # the guard reads the composite size, the sum of the top indices
+    with pytest.raises(EnumerationGuard, match=r"\|P\| = 10 exceeds"):
+        operad_eval_series(chain(2), [SeriesVec("strict", {5: 1, 6: 1}),
+                                      SeriesVec("strict", {1: 1, 4: 1})],
+                           guard=8)
+    with pytest.raises(EnumerationGuard, match=r"\|P\| = 13 exceeds"):
+        operad_eval_series(zigzag_poset(), [basis_series(4), basis_series(3),
+                                            basis_series(3), basis_series(3)])
 
 
 def test_operad_eval_agrees_with_lex_sum(classes_upto_4):

@@ -15,7 +15,7 @@ from posetoperad.polynomials import BinomialPoly, bernoulli_number, x_power
 from posetoperad.poset import antichain, chain, lex_sum, ordinal_sum
 from posetoperad.series import zigzag_poset
 from posetoperad.zeta import (DEFAULT_CTX, PrecisionContext,
-                              ZetaExpr, _borwein_weights,
+                              ZETA_PASSES_KEPT, ZetaExpr, _borwein_weights,
                               _zeta_minus_one_cached, _zeta_passes,
                               alternating_unit_record, binomial_shift_record,
                               entry22_check, entry22_formula, entry22_oracle,
@@ -77,6 +77,24 @@ def test_borwein_weights_are_integers():
         assert all(x.denominator == 1 for x in exact)
         assert dn == exact[n]
         assert weights == tuple(dn - x for x in exact[:n])
+
+
+def test_zeta_pass_cache_keeps_the_last_four_digits_values():
+    # an API caller looping over digits keeps at most four passes alive,
+    # and an evicted pass is rebuilt to the same values
+    assert ZETA_PASSES_KEPT == 4
+    _zeta_passes.clear()
+    ctxs = [PrecisionContext(working_digits=d) for d in range(20, 40)]
+    first = [(zeta_value(3, c), zeta_value(7, c)) for c in ctxs]
+    assert list(_zeta_passes) == [36, 37, 38, 39]
+    zeta_value(2, ctxs[-4])  # a hit moves its pass to the back
+    zeta_value(2, PrecisionContext(working_digits=60))
+    assert list(_zeta_passes) == [38, 39, 36, 60]
+    again = [(zeta_value(3, c), zeta_value(7, c)) for c in ctxs]
+    assert again == first and len(_zeta_passes) == 4
+    _zeta_passes.clear()
+    assert [(zeta_value(3, c), zeta_value(7, c)) for c in ctxs[:2]] == \
+        first[:2]
 
 
 def test_zeta_value_is_thread_safe():
