@@ -9,8 +9,7 @@ import importlib
 
 _EXPORTS = {
     "counting": ("DVector", "count_maps", "count_strict_surjections",
-                 "d_vector", "enumeration_report",
-                 "nested_sum_identity_check", "order_polynomial",
+                 "d_vector", "enumeration_report", "order_polynomial",
                  "reciprocity_check"),
     "errors": ("ArityError", "ArityMismatch", "CycleDetected",
                "DivergentParameter", "DuplicateLabel", "EnumerationGuard",
@@ -19,7 +18,7 @@ _EXPORTS = {
                "UnknownIdentity", "UnknownLabel", "UnknownName"),
     "polynomials": ("BinomialPoly", "MonomialPoly", "bernoulli_number",
                     "binomial", "eulerian_number", "eulerian_polynomial",
-                    "multiset_coeff", "stirling2", "x_power"),
+                    "multiset_coeff", "stirling2"),
     "poset": ("Poset", "antichain", "chain", "construct_poset",
               "disjoint_union", "lex_sum", "max_chain_length", "ordinal_sum",
               "tropical_eval"),

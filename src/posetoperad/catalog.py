@@ -38,16 +38,6 @@ def _extensions(down):
             yield tuple(new)
 
 
-def labeled_masks(n):
-    """Yield every labeled poset on elements 0..n-1 as a tuple of
-    strict-below bitmasks (transitively closed)."""
-    if n == 0:
-        yield ()
-        return
-    for down in labeled_masks(n - 1):
-        yield from _extensions(down)
-
-
 def poset_from_masks(down):
     return Poset([str(i + 1) for i in range(len(down))], down)
 

@@ -255,7 +255,10 @@ def _cmd_tables(args):
 
 
 def _suite_cases(args):
-    """The identity battery; ids sort the report order."""
+    """The identity battery as (case id, run) pairs, sorted by id, which is
+    the report order."""
+    from functools import partial
+
     from .counting import reciprocity_check
     from .discrepancies import known_discrepancies
     from .poset import antichain, chain
@@ -274,48 +277,36 @@ def _suite_cases(args):
                     f"{text} -> {S.render()}")
         cases.append((f"quaternary-table:{idx:02d}", run))
 
-    corpus = [("chain", n) for n in range(2, 7)]
-    corpus += [("antichain", n) for n in range(2, 7)]
-    corpus += [("expr", t) for t, _ in _FIG2_ROWS[:7]]
-    for kind, spec in corpus:
-        if kind == "chain":
-            P, tag = chain(spec), f"C{spec}"
-        elif kind == "antichain":
-            P, tag = antichain(spec), f"A{spec}"
-        else:
-            P, tag = resolve(parse_expr(spec)), spec
-
+    # the reciprocity corpus, as (tag, poset)
+    corpus = [(f"C{n}", chain(n)) for n in range(2, 7)]
+    corpus += [(f"A{n}", antichain(n)) for n in range(2, 7)]
+    corpus += [(t, resolve(parse_expr(t))) for t, _ in _FIG2_ROWS[:7]]
+    for tag, P in corpus:
         def run(P=P):
             rep = reciprocity_check(P, args.guard)
             return ("PASS" if rep.passed else "FAIL",
                     f"reciprocity on {P.relation_string()}")
         cases.append((f"reciprocity:{tag}", run))
 
-    def run_goldbach():
-        rec = verify_identity(goldbach_record(), ctx)
+    # the certified sums, as (case id, check, label): check() returns a
+    # verified IdentityRecord
+    def verified(build, *params):
+        return lambda: verify_identity(build(*params), ctx)
+
+    sums = [("goldbach:unit", verified(goldbach_record), "sum(zeta(n)-1)"),
+            ("goldbach:alternating", verified(alternating_unit_record),
+             "alternating sum")]
+    sums += [(f"binomial-shift:k={k}", verified(binomial_shift_record, k),
+              f"k={k}: lhs") for k in range(1, 7)]
+    sums += [(f"inverse-product:k={k}", partial(entry22_check, k, ctx),
+              f"k={k}: lhs") for k in (2, 3, 4)]
+
+    def certify(check, label):
+        rec = check()
         return ("PASS" if rec.passed else "FAIL",
-                f"sum(zeta(n)-1) ~ {nstr(rec.lhs_numeric, 15)}")
-    cases.append(("goldbach:unit", run_goldbach))
-
-    def run_alt():
-        rec = verify_identity(alternating_unit_record(), ctx)
-        return ("PASS" if rec.passed else "FAIL",
-                f"alternating sum ~ {nstr(rec.lhs_numeric, 15)}")
-    cases.append(("goldbach:alternating", run_alt))
-
-    for k in range(1, 7):
-        def run(k=k):
-            rec = verify_identity(binomial_shift_record(k), ctx)
-            return ("PASS" if rec.passed else "FAIL",
-                    f"k={k}: lhs ~ {nstr(rec.lhs_numeric, 15)}")
-        cases.append((f"binomial-shift:k={k}", run))
-
-    for k in (2, 3, 4):
-        def run(k=k):
-            rec = entry22_check(k, ctx)
-            return ("PASS" if rec.passed else "FAIL",
-                    f"k={k}: lhs ~ {nstr(rec.lhs_numeric, 15)}")
-        cases.append((f"inverse-product:k={k}", run))
+                f"{label} ~ {nstr(rec.lhs_numeric, 15)}")
+    cases += [(case_id, partial(certify, check, label))
+              for case_id, check, label in sums]
 
     for disc in known_discrepancies():
         def run(disc=disc):

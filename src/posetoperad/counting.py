@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, lcm, prod
+from math import lcm, prod
 
-from .errors import EnumerationGuard, PosetOperadError, Record, _set
+from .errors import EnumerationGuard, PosetOperadError, Record
 from .polynomials import (BinomialPoly, cup_coeffs, ordinal_coeffs,
                           weak_sign_flip)
-from .poset import Poset, _bits, chain, decompose, max_chain_length
+from .poset import _bits, decompose, max_chain_length
 
 DEFAULT_GUARD = 12
 
@@ -171,9 +171,7 @@ class DVector(Record):
 
     __slots__ = ("poset", "d")
 
-    def __init__(self, poset: Poset, d: tuple):
-        _set(self, "poset", poset)
-        _set(self, "d", d)
+    def _check(self):
         r0 = max_chain_length(self.poset)
         if not all(isinstance(v, int) and v >= 0 for v in self.d):
             raise PosetOperadError(f"d-vector entries must be nonnegative "
@@ -214,13 +212,6 @@ def order_polynomial(P, mode="strict", guard=DEFAULT_GUARD):
 class ReciprocityReport(Record):
     __slots__ = ("poset", "strict_poly", "weak_poly", "passed")
 
-    def __init__(self, poset: Poset, strict_poly: BinomialPoly,
-                 weak_poly: BinomialPoly, passed: bool):
-        _set(self, "poset", poset)
-        _set(self, "strict_poly", strict_poly)
-        _set(self, "weak_poly", weak_poly)
-        _set(self, "passed", passed)
-
 
 def reciprocity_check(P, guard=DEFAULT_GUARD):
     """Verify (-1)^|P| Omega_strict(P, -x) = Omega_weak(P, x) exactly."""
@@ -231,44 +222,14 @@ def reciprocity_check(P, guard=DEFAULT_GUARD):
     return ReciprocityReport(P, strict_poly, weak_poly, lhs == rhs)
 
 
-class NestedSumReport(Record):
-    __slots__ = ("n", "k", "q", "binomial_value", "nested_value",
-                 "weak_map_count", "passed")
-
-    def __init__(self, n: int, k: int, q: int, binomial_value: int,
-                 nested_value: int, weak_map_count: int, passed: bool):
-        _set(self, "n", n)
-        _set(self, "k", k)
-        _set(self, "q", q)
-        _set(self, "binomial_value", binomial_value)
-        _set(self, "nested_value", nested_value)
-        _set(self, "weak_map_count", weak_map_count)
-        _set(self, "passed", passed)
-
-
-def nested_sum_identity_check(n, k, q):
-    """C(n+k-q, k) vs the k-fold nested sum with all indices >= q, vs the
-    weak map count chain(k) -> chain(n-q+1)."""
-    if not (1 <= q <= n and k >= 1):
-        raise ValueError("need 1 <= q <= n and k >= 1")
-
-    def nested(depth, hi):
-        if depth == 0:
-            return 1
-        return sum(nested(depth - 1, i) for i in range(q, hi + 1))
-
-    b = comb(n + k - q, k)
-    s = nested(k, n)
-    w = count_maps(chain(k), n - q + 1, "weak")
-    return NestedSumReport(n, k, q, b, s, w, b == s == w)
-
-
-def enumeration_report(P, guard=DEFAULT_GUARD, discrepancies=()):
-    """JSON-ready report bundling the d-vector and both order polynomials."""
+def enumeration_report(P, guard=DEFAULT_GUARD):
+    """JSON-ready report bundling the d-vector and both order polynomials;
+    its "discrepancies" list is always empty (the flagged misprints are
+    ``verify-suite`` cases), kept for the v1 schema."""
     return {
         "poset": P.to_json_dict(),
         "d": list(d_vector(P, guard).d),
         "strict_poly": order_polynomial(P, "strict", guard).to_json_dict(),
         "weak_poly": order_polynomial(P, "weak", guard).to_json_dict(),
-        "discrepancies": list(discrepancies),
+        "discrepancies": [],
     }

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .counting import count_strict_surjections, d_vector
-from .errors import Record, _set
+from .errors import Record
 from .polynomials import MonomialPoly, stirling2
 from .poset import chain, lex_sum
 from .series import series_of, zigzag_poset
@@ -22,14 +22,6 @@ from .zeta import operad_eval_zeta, zhat
 
 class Discrepancy(Record):
     __slots__ = ("case_id", "published", "derived", "note", "confirmed")
-
-    def __init__(self, case_id: str, published: str, derived: str, note: str,
-                 confirmed: bool):
-        _set(self, "case_id", case_id)
-        _set(self, "published", published)
-        _set(self, "derived", derived)
-        _set(self, "note", note)
-        _set(self, "confirmed", confirmed)
 
     def to_json_dict(self):
         return {"id": self.case_id, "published": self.published,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ArityError, ExprSyntaxError, Record, UnknownName, _set
+from .errors import ArityError, ExprSyntaxError, Record, UnknownName
 from .poset import antichain, chain, construct_poset, lex_sum
 
 MAX_DEPTH = 100
@@ -35,54 +35,29 @@ MAX_DEPTH = 100
 class ChainLit(Record):
     __slots__ = ("n",)
 
-    def __init__(self, n: int):
-        _set(self, "n", n)
-
 
 class AntichainLit(Record):
     __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        _set(self, "n", n)
 
 
 class HasseLit(Record):
     __slots__ = ("labels", "covers")
 
-    def __init__(self, labels: tuple, covers: tuple):
-        _set(self, "labels", labels)
-        _set(self, "covers", covers)
-
 
 class Union(Record):
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
 
 
 class OrdinalSum(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
-
 
 class LexApply(Record):
     __slots__ = ("outer", "args")
 
-    def __init__(self, outer, args: tuple):
-        _set(self, "outer", outer)
-        _set(self, "args", args)
-
 
 class Var(Record):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        _set(self, "name", name)
 
 
 _TOKEN_RE = re.compile(
@@ -96,12 +71,6 @@ _TOKEN_RE = re.compile(
 
 class _Tok(Record):
     __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        _set(self, "kind", kind)
-        _set(self, "text", text)
-        _set(self, "line", line)
-        _set(self, "col", col)
 
 
 def _tokenize(text):

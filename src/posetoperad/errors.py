@@ -5,28 +5,78 @@ it loads) stays out of every command's start-up."""
 
 from operator import attrgetter
 
-# sets a Record field from its __init__, past the frozen __setattr__
+# sets a Record field past the frozen __setattr__
 _set = object.__setattr__
+
+
+class _FieldSignature:
+    """``inspect.signature`` of a Record class: its fields, in order, with
+    their defaults.  ``inspect`` is imported only when this is read."""
+
+    def __get__(self, instance, owner):
+        from inspect import Parameter, Signature
+        kind, empty = Parameter.POSITIONAL_OR_KEYWORD, Parameter.empty
+        return Signature([Parameter(f, kind,
+                                    default=owner._defaults.get(f, empty))
+                          for f in owner.__slots__])
 
 
 class Record:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``__slots__`` and sets each of them once,
-    with ``_set``, in an ``__init__`` that takes them in the same order.
-    After that, assigning or deleting a field raises AttributeError.  Two
-    records are equal when they have the same type and equal fields, the
-    hash follows the class name and the fields, and the repr is
+    A subclass declares its fields, in constructor order, in ``__slots__``;
+    the fields that may be left out get their values from a class-level
+    ``_defaults`` dict, and a subclass that validates its values overrides
+    ``_check``, which runs after every construction (``_replace`` too).
+    ``Record.__init__`` takes the fields by position or by keyword and
+    raises TypeError where a plain ``__init__`` would.  After that,
+    assigning or deleting a field raises AttributeError.  Two records are
+    equal when they have the same type and equal fields, the hash follows
+    the class name and the fields, and the repr is
     ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
+    _defaults = {}
+    __signature__ = _FieldSignature()
 
     def __init_subclass__(cls):
         # what == and hash() read, in one C call: the class name, then the
         # fields
         cls._type_name = cls.__qualname__
         cls._key = attrgetter("_type_name", *cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for f, v in zip(fields, args):
+            _set(self, f, v)
+        self._check()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values of a call with keywords or left-out fields."""
+        name, fields = cls.__qualname__, cls.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but "
+                            f"{len(args)} were given")
+        values = list(args)
+        for f in fields[len(args):]:
+            if f in kwargs:
+                values.append(kwargs.pop(f))
+            elif f in cls._defaults:
+                values.append(cls._defaults[f])
+            else:
+                raise TypeError(f"{name}() missing argument {f!r}")
+        if kwargs:  # what is left was given twice, or is no field
+            f = next(iter(kwargs))
+            what = "multiple values for" if f in fields else "an unexpected"
+            raise TypeError(f"{name}() got {what} argument {f!r}")
+        return values
+
+    def _check(self):
+        """Validate the fields; a subclass raises here to refuse them."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -202,7 +202,9 @@ class MonomialPoly(SparseVec):
 
     def to_binomial(self):
         """Newton forward differences: coefficient of C(x,i) is the i-th
-        difference of p at 0."""
+        difference of p at 0.  The inverse of ``BinomialPoly.to_monomial``;
+        the package itself never converts this way, but as a method it
+        stays public with its pair."""
         d = self.max_index()
         vals = [self.eval(j) for j in range(d + 1)]
         out = {}
@@ -256,10 +258,6 @@ def ordinal_coeffs(a, b):
     return out
 
 
-def x_power(n):
-    return MonomialPoly({n: 1})
-
-
 def weak_sign_flip(coeffs, k):
     """The sign twist c_i -> (-1)^(k-i) c_i between the strict and weak
     coordinates of a k-element poset; an involution."""
@@ -292,7 +290,9 @@ def eulerian_number(n, i):
 
 
 def eulerian_polynomial(n):
-    """Coefficient list of A_n(t); A_0 = 1."""
+    """Coefficient list of A_n(t); A_0 = 1.  Part of the paper's Ramanujan
+    material (the h* numerators of antichains), so public though the
+    package itself does not call it."""
     if n == 0:
         return [1]
     return [eulerian_number(n, i) for i in range(n)]
@@ -313,7 +313,9 @@ def bernoulli_number(m):
     """Bernoulli number B_m with the B_1 = +1/2 sign convention.
 
     B_0 = 1, B_1 = 1/2, B_2 = 1/6, odd values >= 3 vanish.  Only B_1
-    differs between the two common conventions.
+    differs between the two common conventions.  Part of the paper's
+    Ramanujan material (the zeta values at even integers), so public though
+    the package itself does not call it.
     """
     if m == 1:
         return Fraction(1, 2)

@@ -95,6 +95,9 @@ class Poset:
         return self._below[i]
 
     def above_mask(self, i):
+        """Bitmask of indices strictly above element i; the pair of
+        ``below_mask``, kept public with it although only the tests read
+        it."""
         return self._up_masks()[i]
 
     def index_pairs(self):

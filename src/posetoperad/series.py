@@ -18,8 +18,7 @@ from fractions import Fraction
 from .counting import (DEFAULT_GUARD, check_guard, d_vector,
                        order_polynomial, substitute_coeffs)
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
-                     ModeMismatch, PosetOperadError, Record, UnknownIdentity,
-                     _set)
+                     ModeMismatch, PosetOperadError, Record, UnknownIdentity)
 from .polynomials import (MonomialPoly, SparseVec, clean_coeffs, cup_coeffs,
                           ordinal_coeffs, weak_sign_flip)
 from .poset import (Poset, chain, construct_poset, disjoint_union, lex_sum,
@@ -110,11 +109,6 @@ class ClosedForm(Record):
     """numerator(x) / (1-x)^den_power with exact rational numerator."""
 
     __slots__ = ("numerator", "den_power", "mode")
-
-    def __init__(self, numerator: tuple, den_power: int, mode: str):
-        _set(self, "numerator", numerator)
-        _set(self, "den_power", den_power)
-        _set(self, "mode", mode)
 
     def numerator_poly(self):
         return MonomialPoly(dict(enumerate(self.numerator)))
@@ -224,15 +218,7 @@ def operad_eval_series(P, args, guard=DEFAULT_GUARD):
 
 class SeriesIdentityReport(Record):
     __slots__ = ("name", "params", "passed", "lhs", "rhs", "notes")
-
-    def __init__(self, name: str, params: tuple, passed: bool, lhs: str,
-                 rhs: str, notes: tuple = ()):
-        _set(self, "name", name)
-        _set(self, "params", params)
-        _set(self, "passed", passed)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "notes", notes)
+    _defaults = {"notes": ()}
 
 
 def series_identity_check(name, params, guard=DEFAULT_GUARD):

@@ -20,9 +20,9 @@ from fractions import Fraction
 
 from .counting import DEFAULT_GUARD, count_maps, d_vector, order_polynomial
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
-                     PosetOperadError, PrecisionUnachievable, Record, _set)
+                     PosetOperadError, PrecisionUnachievable, Record)
 from .polynomials import BinomialPoly, SparseVec, render_sum
-from .poset import Poset, chain, lex_sum, max_chain_length
+from .poset import chain, lex_sum, max_chain_length
 # inverse_power_sum lives in series, next to SeriesVec.eval_at; it is bound
 # here too, so `from posetoperad.zeta import inverse_power_sum` keeps working
 from .series import STRICT, SeriesVec, inverse_power_sum
@@ -37,13 +37,8 @@ class PrecisionContext(Record):
     """
 
     __slots__ = ("working_digits", "verify_tolerance", "series_term_cap")
-
-    def __init__(self, working_digits: int = 50,
-                 verify_tolerance: float = 1e-12,
-                 series_term_cap: int = 4000):
-        _set(self, "working_digits", working_digits)
-        _set(self, "verify_tolerance", verify_tolerance)
-        _set(self, "series_term_cap", series_term_cap)
+    _defaults = {"working_digits": 50, "verify_tolerance": 1e-12,
+                 "series_term_cap": 4000}
 
 
 DEFAULT_CTX = PrecisionContext()
@@ -381,25 +376,9 @@ class IdentityRecord(Record):
     __slots__ = ("lhs_description", "rhs", "poset", "lhs_poly", "alternating",
                  "start_index", "lhs_numeric", "rhs_numeric", "error_bound",
                  "passed", "notes")
-
-    def __init__(self, lhs_description: str, rhs: ZetaExpr,
-                 poset: Poset | None = None,
-                 lhs_poly: BinomialPoly | None = None,
-                 alternating: bool = True, start_index: int = 1,
-                 lhs_numeric: object = None, rhs_numeric: object = None,
-                 error_bound: float | None = None,
-                 passed: bool | None = None, notes: tuple = ()):
-        _set(self, "lhs_description", lhs_description)
-        _set(self, "rhs", rhs)
-        _set(self, "poset", poset)
-        _set(self, "lhs_poly", lhs_poly)
-        _set(self, "alternating", alternating)
-        _set(self, "start_index", start_index)
-        _set(self, "lhs_numeric", lhs_numeric)
-        _set(self, "rhs_numeric", rhs_numeric)
-        _set(self, "error_bound", error_bound)
-        _set(self, "passed", passed)
-        _set(self, "notes", notes)
+    _defaults = {"poset": None, "lhs_poly": None, "alternating": True,
+                 "start_index": 1, "lhs_numeric": None, "rhs_numeric": None,
+                 "error_bound": None, "passed": None, "notes": ()}
 
     def to_json_dict(self):
         return {

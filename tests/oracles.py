@@ -7,10 +7,14 @@ instances.
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb
 
+from posetoperad.catalog import _extensions
+from posetoperad.counting import count_maps
+from posetoperad.errors import Record
 from posetoperad.polynomials import (BinomialPoly, MonomialPoly, SparseVec,
                                      binomial)
-from posetoperad.poset import Poset
+from posetoperad.poset import Poset, chain
 
 
 def naive_count_maps(P, n, mode):
@@ -237,3 +241,39 @@ def triangulation_profile(dv):
     """dimension -> simplex count of the d-vector's triangulation, highest
     dimension first."""
     return {i + 1: v for i, v in sorted(enumerate(dv.d), reverse=True) if v}
+
+
+def x_power(n):
+    return MonomialPoly({n: 1})
+
+
+def labeled_masks(n):
+    """Yield every labeled poset on elements 0..n-1 as a tuple of
+    strict-below bitmasks (transitively closed)."""
+    if n == 0:
+        yield ()
+        return
+    for down in labeled_masks(n - 1):
+        yield from _extensions(down)
+
+
+class NestedSumReport(Record):
+    __slots__ = ("n", "k", "q", "binomial_value", "nested_value",
+                 "weak_map_count", "passed")
+
+
+def nested_sum_identity_check(n, k, q):
+    """C(n+k-q, k) vs the k-fold nested sum with all indices >= q, vs the
+    weak map count chain(k) -> chain(n-q+1)."""
+    if not (1 <= q <= n and k >= 1):
+        raise ValueError("need 1 <= q <= n and k >= 1")
+
+    def nested(depth, hi):
+        if depth == 0:
+            return 1
+        return sum(nested(depth - 1, i) for i in range(q, hi + 1))
+
+    b = comb(n + k - q, k)
+    s = nested(k, n)
+    w = count_maps(chain(k), n - q + 1, "weak")
+    return NestedSumReport(n, k, q, b, s, w, b == s == w)

@@ -7,8 +7,7 @@ from fractions import Fraction
 from posetoperad.counting import d_vector, reciprocity_check
 from posetoperad.discrepancies import known_discrepancies
 from posetoperad.dsl import parse_poset
-from posetoperad.polynomials import (binomial, eulerian_number, stirling2,
-                                     x_power)
+from posetoperad.polynomials import binomial, eulerian_number, stirling2
 from posetoperad.poset import antichain, chain, disjoint_union, ordinal_sum
 from posetoperad.series import hadamard, ordinal_mul, series_of, zigzag_poset
 from posetoperad.zeta import (PrecisionContext, alternating_unit_record,
@@ -17,7 +16,7 @@ from posetoperad.zeta import (PrecisionContext, alternating_unit_record,
                               inverse_power_sum, verify_identity)
 
 from oracles import (backtracking_count_maps, naive_count_maps,
-                     triangulation_profile)
+                     triangulation_profile, x_power)
 
 
 def _report(name, started, detail=""):

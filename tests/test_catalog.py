@@ -2,12 +2,12 @@ import hashlib
 import random
 
 from posetoperad.catalog import (canonical_key, is_series_parallel,
-                                 iso_classes, labeled_masks, poset_from_masks)
+                                 iso_classes, poset_from_masks)
 from posetoperad.counting import d_vector
 from posetoperad.poset import antichain, chain, ordinal_sum
 from posetoperad.series import zigzag_poset
 
-from oracles import has_induced_zigzag, poset_from_relation
+from oracles import has_induced_zigzag, labeled_masks, poset_from_relation
 
 LABELED_COUNTS = [1, 1, 3, 19, 219, 4231]
 ISO_COUNTS = [1, 1, 2, 5, 16, 63, 318]

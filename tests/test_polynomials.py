@@ -8,9 +8,10 @@ from posetoperad.errors import IndexOutOfRange, ModeMismatch
 from posetoperad.polynomials import (BinomialPoly, MonomialPoly,
                                      bernoulli_number, binomial,
                                      eulerian_number, eulerian_polynomial,
-                                     multiset_coeff, stirling2, x_power)
+                                     multiset_coeff, stirling2)
 
-from oracles import descent_eulerian, partition_stirling2, poly_from_json
+from oracles import (descent_eulerian, partition_stirling2, poly_from_json,
+                     x_power)
 
 
 def test_binomial_values():

@@ -8,8 +8,7 @@ import pickle
 
 import pytest
 
-from posetoperad.counting import (DVector, NestedSumReport, ReciprocityReport,
-                                  order_polynomial)
+from posetoperad.counting import DVector, ReciprocityReport, order_polynomial
 from posetoperad.discrepancies import Discrepancy
 from posetoperad.dsl import (AntichainLit, ChainLit, HasseLit, LexApply,
                              OrdinalSum, Union, Var, _Tok)
@@ -18,6 +17,8 @@ from posetoperad.polynomials import BinomialPoly
 from posetoperad.poset import antichain, chain
 from posetoperad.series import ClosedForm, SeriesIdentityReport
 from posetoperad.zeta import IdentityRecord, PrecisionContext, ZetaExpr
+
+from oracles import NestedSumReport
 
 # each record class with the field values of one instance, and the same
 # values with one field changed

@@ -11,7 +11,7 @@ import pytest
 from posetoperad.counting import d_vector
 from posetoperad.errors import (ArityMismatch, DivergentParameter,
                                 MissingProvenance, PrecisionUnachievable)
-from posetoperad.polynomials import BinomialPoly, bernoulli_number, x_power
+from posetoperad.polynomials import BinomialPoly, bernoulli_number
 from posetoperad.poset import antichain, chain, lex_sum, ordinal_sum
 from posetoperad.series import zigzag_poset
 from posetoperad.zeta import (DEFAULT_CTX, PrecisionContext,
@@ -23,6 +23,8 @@ from posetoperad.zeta import (DEFAULT_CTX, PrecisionContext,
                               inverse_power_sum, inverse_power_sum_partial,
                               n_tilde, n_tilde2, operad_eval_zeta,
                               verify_identity, zeta_number, zeta_value, zhat)
+
+from oracles import x_power
 
 
 def star_poset():
