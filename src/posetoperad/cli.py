@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .counting import DEFAULT_GUARD, check_guard
 from .dsl import element_count, parse_expr, resolve
-from .errors import (ArityError, ArityMismatch, CycleDetected,
+from .errors import (MAX_DIGITS, ArityError, ArityMismatch, CycleDetected,
                      DivergentParameter, DuplicateLabel, EnumerationGuard,
                      ExprSyntaxError, PosetOperadError,
                      PrecisionUnachievable, UnknownLabel, UnknownName)
@@ -67,6 +67,8 @@ _nonnegative = _arg_type(int, lambda v: v >= 0, "need an integer >= 0")
 _tolerance = _arg_type(float, lambda v: 0 < v < math.inf,
                        "need a finite number > 0")
 _ratio = _arg_type(Fraction, lambda v: True, "need a rational number")
+_digits = _arg_type(_positive, lambda v: v <= MAX_DIGITS,
+                    f"need at most {MAX_DIGITS} digits")
 
 
 def build_parser():
@@ -75,7 +77,7 @@ def build_parser():
         description="order polynomials, order series, and rational zeta "
                     "identities for finite posets")
     # a string default goes through the same type check as the flag
-    p.add_argument("--digits", type=_positive,
+    p.add_argument("--digits", type=_digits,
                    default=os.environ.get("POSETOPERAD_DIGITS", "50"),
                    help="working precision in decimal digits")
     p.add_argument("--tolerance", type=_tolerance, default=1e-12,
@@ -241,7 +243,7 @@ def _cmd_tables(args):
     from .polynomials import eulerian_number, stirling2
     if args.eulerian is not None:
         n_max = args.eulerian
-        rows = {str(n): [eulerian_number(n, i) for i in range(n)] or [1]
+        rows = {str(n): [eulerian_number(n, i) for i in range(n)]
                 for n in range(1, n_max + 1)}
         lines = [f"A({n},.) = {row}" for n, row in rows.items()]
         _emit(args, lines, {"value": rows, "table": "eulerian"})

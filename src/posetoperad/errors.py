@@ -1,9 +1,13 @@
-"""Exception types shared across the package, and ``Record``, the base of
-its immutable value classes: every module that defines one already imports
-this module, and ``dataclasses`` (with the ``inspect``, ``ast`` and ``dis``
-it loads) stays out of every command's start-up."""
+"""Exception types shared across the package, ``MAX_DIGITS``, and
+``Record``, the base of its immutable value classes: every module that
+defines one already imports this module, and ``dataclasses`` (with the
+``inspect``, ``ast`` and ``dis`` it loads) stays out of each command."""
 
 from operator import attrgetter
+
+# past these working digits zeta values raise PrecisionUnachievable and the
+# CLI exits 2: a zeta pass holds about 1.2 d^2 bytes (120 MB at 10^4 digits)
+MAX_DIGITS = 10_000
 
 # sets a Record field past the frozen __setattr__
 _set = object.__setattr__

@@ -7,8 +7,7 @@ series over Z+_i = x/(1-x)^(i+1); index 0 holds the units 1/(1-x) and
 x/(1-x).  ``SeriesVec`` is the shared ``polynomials.SparseVec`` with the
 mode as its basis tag, so a strict series holds the same coefficients as
 the strict order polynomial.  Vectors are never truncated: all identities
-here are exact in the basis, and power-series expansion exists only for
-cross-checks.
+here are exact in the basis.
 """
 
 from __future__ import annotations

@@ -18,14 +18,15 @@ import math
 import threading
 from fractions import Fraction
 
-from .counting import DEFAULT_GUARD, count_maps, d_vector, order_polynomial
-from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
-                     PosetOperadError, PrecisionUnachievable, Record)
-from .polynomials import BinomialPoly, SparseVec, render_sum
+from .counting import DEFAULT_GUARD, count_maps, order_polynomial
+from .errors import (MAX_DIGITS, ArityMismatch, DivergentParameter,
+                     MissingProvenance, PosetOperadError,
+                     PrecisionUnachievable, Record)
+from .polynomials import BinomialPoly, SparseVec, binomial, render_sum
 from .poset import chain, lex_sum, max_chain_length
 # inverse_power_sum lives in series, next to SeriesVec.eval_at; it is bound
 # here too, so `from posetoperad.zeta import inverse_power_sum` keeps working
-from .series import STRICT, SeriesVec, inverse_power_sum
+from .series import inverse_power_sum
 
 
 class PrecisionContext(Record):
@@ -42,9 +43,6 @@ class PrecisionContext(Record):
 
 
 DEFAULT_CTX = PrecisionContext()
-
-# cap on the terms of Borwein's zeta series (about 1.31 per working digit)
-ZETA_SUM_CAP = 2_000_000
 
 _GUARD_DIGITS = 10  # fixed-point digits kept past the working digits
 
@@ -176,12 +174,11 @@ def _zeta_minus_one_cached(s, digits):
     with _zeta_lock:
         zp = _zeta_passes.pop(digits, None)
         if zp is None:
-            n, B = _borwein_size(digits)
-            if n > ZETA_SUM_CAP:
+            if digits > MAX_DIGITS:
                 raise PrecisionUnachievable(
-                    f"Borwein term count {n} exceeds cap {ZETA_SUM_CAP} "
-                    f"for zeta({s})")
-            zp = _BorweinPass(n, B)
+                    f"{digits} working digits exceed the ceiling "
+                    f"{MAX_DIGITS} for zeta({s})")
+            zp = _BorweinPass(*_borwein_size(digits))
             if len(_zeta_passes) >= ZETA_PASSES_KEPT:
                 del _zeta_passes[next(iter(_zeta_passes))]
         _zeta_passes[digits] = zp
@@ -470,39 +467,13 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
 
 def finite_form_identity(P, guard=DEFAULT_GUARD):
     """Finite form of sum_(k>=r0) (-1)^(k+1) Omega_strict(P,k)(zeta(k+1)-1):
-    the image of the strict order polynomial under the alternating map.
-
-    The divided-by-r intermediate identity is checked exactly at r = 2 and
-    recorded as a note.
-    """
+    the image of the strict order polynomial under the alternating map."""
     poly = order_polynomial(P, "strict", guard)
     r0 = max(1, max_chain_length(P))
-    rhs = n_tilde2(poly)
-    notes = []
-    if len(P):
-        lhs_ffe = _ffe_lhs(SeriesVec(STRICT, poly.coeffs), Fraction(2))
-        rhs_ffe = _ffe_rhs(P, Fraction(2), guard)
-        if lhs_ffe != rhs_ffe:
-            raise PosetOperadError(f"divided-by-r form fails at r=2: "
-                                   f"{lhs_ffe} != {rhs_ffe}")
-        notes.append("divided-by-r form verified exactly at r=2")
     desc = (f"sum_{{k>={r0}}} (-1)^(k+1) Omega({P.relation_string()})(k) "
             f"(zeta(k+1)-1)")
-    return IdentityRecord(lhs_description=desc, rhs=rhs, poset=P,
-                          lhs_poly=poly, alternating=True, start_index=r0,
-                          notes=tuple(notes))
-
-
-def _ffe_lhs(S, r):
-    """sum_k (-1)^(k+1) p(k) / r^(k+1) as an exact rational: the strict
-    order series S of p evaluated at -1/r."""
-    return -S.eval_at(Fraction(-1) / r) / r
-
-
-def _ffe_rhs(P, r, guard):
-    dv = d_vector(P, guard)
-    return sum((Fraction((-1) ** (i + 1)) * v / (1 + r) ** (i + 1)
-                for i, v in enumerate(dv.d, start=1)), Fraction(0))
+    return IdentityRecord(lhs_description=desc, rhs=n_tilde2(poly), poset=P,
+                          lhs_poly=poly, alternating=True, start_index=r0)
 
 
 def inverse_power_sum_partial(P, r, terms, mode="strict", guard=DEFAULT_GUARD):
@@ -551,9 +522,8 @@ def binomial_shift_record(k):
 
 def _inverse_square_partial_fractions(k):
     """Exact decomposition of 1/(n^k (n+1)^k) into a_i/n^i + b_i/(n+1)^i."""
-    from .polynomials import binomial as binom
-    a = {i: binom(-k, k - i) for i in range(1, k + 1)}
-    b = {k - m: Fraction((-1) ** k) * binom(k + m - 1, m) for m in range(k)}
+    a = {i: binomial(-k, k - i) for i in range(1, k + 1)}
+    b = {k - m: Fraction(-1) ** k * binomial(k + m - 1, m) for m in range(k)}
     if a[1] != -b[1]:
         raise PosetOperadError("telescoping part must cancel")
     return a, b
@@ -571,13 +541,12 @@ def entry22_oracle(k):
 def entry22_formula(k):
     """The printed closed form: sum over n of (1+(-1)^(k-n)) zeta(k-n) C(-k,n),
     with n = k-1 skipped and the convention zeta(0) = -1/2."""
-    from .polynomials import binomial as binom
     constant = Fraction(0)
     coeffs = {}
     for n in range(k + 1):
         if n == k - 1:
             continue
-        weight = (1 + (-1) ** (k - n)) * binom(-k, n)
+        weight = (1 + (-1) ** (k - n)) * binomial(-k, n)
         if weight == 0:
             continue
         s = k - n

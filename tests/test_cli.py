@@ -246,6 +246,32 @@ def test_inverse_sum_zero_denominator_is_usage_error(capsys):
 def test_digits_below_one_is_usage_error(capsys, digits):
     code, out, err = run(capsys, "--digits", digits, "zeta-identity", "C2")
     assert code == EXIT_USAGE and "--digits" in err and out == ""
+    assert err.endswith(f"error: argument --digits: need an integer >= 1, "
+                        f"got {digits!r}\n")
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_digits_above_the_ceiling_is_usage_error(capsys, monkeypatch,
+                                                 via_env):
+    from posetoperad import zeta
+    from posetoperad.cli import build_parser
+    from posetoperad.errors import MAX_DIGITS
+
+    def refuse(n, B):
+        raise AssertionError("a Borwein pass was built")
+    monkeypatch.setattr(zeta, "_BorweinPass", refuse)
+    digits = str(MAX_DIGITS + 1)
+    if via_env:
+        monkeypatch.setenv("POSETOPERAD_DIGITS", digits)
+        argv = ["zeta-identity", "C2"]
+    else:
+        argv = ["--digits", digits, "zeta-identity", "C2"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and "--digits" in err and out == ""
+    assert f"need at most {MAX_DIGITS} digits" in err
+    args = build_parser().parse_args(
+        ["--digits", str(MAX_DIGITS), "verify-suite"])
+    assert args.digits == MAX_DIGITS
 
 
 def test_env_var_digits_not_an_integer(capsys, monkeypatch):

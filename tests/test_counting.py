@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import pytest
 
 import posetoperad
-from posetoperad.counting import (DVector, count_maps,
+from posetoperad import counting
+from posetoperad.counting import (DVector, _weak_map_counts, count_maps,
                                   count_strict_surjections, d_vector,
                                   enumeration_report, order_polynomial,
                                   reciprocity_check)
@@ -198,10 +199,34 @@ def test_reciprocity_examples():
         assert reciprocity_check(antichain(n)).passed
 
 
-def test_reciprocity_corpus(classes_upto_5):
-    for reps in classes_upto_5.values():
+def test_reciprocity_corpus(classes_upto_6):
+    for reps in classes_upto_6.values():
         for P in reps:
             assert reciprocity_check(P).passed
+
+
+def test_weak_map_counts_match_naive_enumeration(classes_upto_5):
+    for reps in classes_upto_5.values():
+        for P in reps:
+            assert _weak_map_counts(P) == [naive_count_maps(P, n, "weak")
+                                           for n in range(len(P) + 1)]
+
+
+def test_reciprocity_fails_on_a_wrong_d_vector(monkeypatch):
+    # the zigzag's d-vector is (0, 1, 5, 5); both polynomials come from the
+    # patched one, the weak map counts on the downsets do not
+    Z, true_d_vector = zigzag_poset(), counting.d_vector
+
+    def patched(P, guard=counting.DEFAULT_GUARD):
+        return DVector(P, (0, 1, 6, 99)) if P == Z else true_d_vector(P, guard)
+    monkeypatch.setattr(counting, "d_vector", patched)
+    assert not reciprocity_check(Z).passed
+    assert reciprocity_check(chain(4)).passed
+
+
+def test_reciprocity_checks_the_guard_first():
+    with pytest.raises(EnumerationGuard):
+        reciprocity_check(antichain(5), guard=4)
 
 
 def test_chain2_reciprocity_closed_form():

@@ -122,13 +122,7 @@ MUTATIONS = [
     (corrupt_binomial_shift, "binomial-shift:k=3"),
     (corrupt_entry22_formula, "inverse-product:k=3"),
     (corrupt_discrepancy_check, "discrepancy:quaternary-low-order-index"),
-    pytest.param(
-        corrupt_d_vector, "reciprocity:A3",
-        marks=pytest.mark.xfail(strict=True, reason=(
-            "reciprocity_check is a tautology in the d-vector: it builds "
-            "both the strict and the weak polynomial from the same d, so "
-            "with d_vector(A3) patched to (1, 6, 99) it still passes; an "
-            "independent count of weak maps would catch it"))),
+    (corrupt_d_vector, "reciprocity:A3"),
 ]
 
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from posetoperad import zeta
 from posetoperad.counting import d_vector
-from posetoperad.errors import (ArityMismatch, DivergentParameter,
+from posetoperad.errors import (MAX_DIGITS, ArityMismatch, DivergentParameter,
                                 MissingProvenance, PrecisionUnachievable)
 from posetoperad.polynomials import BinomialPoly, bernoulli_number
 from posetoperad.poset import antichain, chain, lex_sum, ordinal_sum
@@ -190,12 +191,28 @@ def test_euler_even_zeta_formula():
 def test_zeta_value_validation():
     with pytest.raises(ValueError):
         zeta_value(1)
-    # Borwein needs about 2.09M terms at 1.6M digits, past the cap of 2M;
-    # the cap refuses before any pass is built
+    # 1.6M digits is far past the digits ceiling, which refuses before any
+    # pass is built
     huge = PrecisionContext(working_digits=1_600_000)
     with pytest.raises(PrecisionUnachievable):
         zeta_value(2, huge)
     assert 1_600_000 not in _zeta_passes
+
+
+class PassBuilt(Exception):
+    pass
+
+
+def test_digits_ceiling_refuses_before_any_pass_is_built(monkeypatch):
+    def refuse(n, B):
+        raise PassBuilt(n, B)
+    monkeypatch.setattr(zeta, "_BorweinPass", refuse)
+    with pytest.raises(PrecisionUnachievable, match="ceiling"):
+        zeta_value(2, PrecisionContext(working_digits=MAX_DIGITS + 1))
+    # the ceiling itself is allowed: its pass would be built
+    with pytest.raises(PassBuilt):
+        zeta_value(2, PrecisionContext(working_digits=MAX_DIGITS))
+    assert not {MAX_DIGITS, MAX_DIGITS + 1} & set(_zeta_passes)
 
 
 def test_n_tilde_examples():
