@@ -8,9 +8,8 @@ imports no submodule and a command pays only for the modules it uses.
 import importlib
 
 _EXPORTS = {
-    "counting": ("DVector", "count_maps", "count_strict_surjections",
-                 "d_vector", "enumeration_report", "order_polynomial",
-                 "reciprocity_check"),
+    "counting": ("DVector", "count_maps", "d_vector", "enumeration_report",
+                 "order_polynomial", "reciprocity_check"),
     "errors": ("ArityError", "ArityMismatch", "CycleDetected",
                "DivergentParameter", "DuplicateLabel", "EnumerationGuard",
                "ExprSyntaxError", "IndexOutOfRange", "MissingProvenance",

@@ -112,7 +112,6 @@ def _points_only(tree):
     return tree[0] != "Q" and all(_points_only(part) for part in tree[1])
 
 
-@lru_cache(maxsize=None)
 def is_series_parallel(P):
     """True iff P is generated from points by disjoint union and ordinal
     sum: its decomposition (``poset.decompose``) has no prime part."""

@@ -12,9 +12,9 @@ surjection, each block weighted by its own vector.  With any rational
 vectors in the slots the same walk is the operad action on series.
 Every map count is then an evaluation of the order polynomial; the weak
 count follows by reciprocity, which ``reciprocity_check`` tests against
-weak maps counted on the downsets, without the d-vector.  The literal
-counters (backtracking, subset sums over all masks, the downset recursion)
-live in ``tests/oracles.py`` as independent referees.
+weak map counts read along the same tree, without the d-vector.  The
+literal counters (backtracking, subset sums over all masks, the downset
+recursion and lattice) live in ``tests/oracles.py`` as independent referees.
 """
 
 from __future__ import annotations
@@ -131,38 +131,6 @@ def count_maps(P, n, mode="strict", guard=DEFAULT_GUARD):
     return int(order_polynomial(P, mode, guard).eval(n, basis))
 
 
-def count_strict_surjections(P, m, guard=DEFAULT_GUARD):
-    """Strict order-preserving maps from P onto chain(m) (direct search)."""
-    check_guard(len(P), guard)
-    k = len(P)
-    if k == 0:
-        return 1 if m == 0 else 0
-    if m > k:
-        return 0
-    order = sorted(range(k), key=lambda i: P.below_mask(i).bit_count())
-    place = {elem: t for t, elem in enumerate(order)}
-    preds = [[place[j] for j in _bits(P.below_mask(elem))] for elem in order]
-    vals = [0] * k
-    full = (1 << m) - 1
-
-    def rec(t, used):
-        if t == k:
-            return 1 if used == full else 0
-        missing = m - used.bit_count()
-        if missing > k - t:
-            return 0
-        lo = 1
-        for s in preds[t]:
-            lo = max(lo, vals[s] + 1)
-        total = 0
-        for v in range(lo, m + 1):
-            vals[t] = v
-            total += rec(t + 1, used | (1 << (v - 1)))
-        return total
-
-    return rec(0, 0)
-
-
 class DVector(Record):
     """Inclusion-exclusion vector d_1..d_|P| of a poset.
 
@@ -214,24 +182,53 @@ class ReciprocityReport(Record):
     __slots__ = ("poset", "strict_poly", "weak_poly", "passed")
 
 
-def _weak_map_counts(P):
-    """Omega_weak(P, n) for n = 0..|P|, without the d-vector: a weak map
+def _lattice_counts(below, mask, top):
+    """Omega_weak(n) for n = 0..top of the subposet on ``mask``: a weak map
     onto chain(n) is a multichain of n - 1 downsets, so the count is
-    zeta^n(empty, P) on the downset lattice.  A zeta transform adds
+    zeta^n(empty, mask) on the downset lattice.  A zeta transform adds
     f(D - e) into f(D) for each downset D - e, e in a linear extension
     order, so every partial sum runs over downsets only."""
-    below, full = P._below, (1 << len(P)) - 1
-    f = dict.fromkeys(downsets(below, full), 0)
+    f = dict.fromkeys(downsets(below, mask), 0)
     f[0] = 1
     steps = [(d, d ^ 1 << e)
-             for e in sorted(range(len(P)), key=lambda e: below[e].bit_count())
+             for e in sorted(_bits(mask), key=lambda e: below[e].bit_count())
              for d in f if d >> e & 1 and d ^ 1 << e in f]
-    counts = [f[full]]
-    for _ in range(len(P)):
+    counts = [f[mask]]
+    for _ in range(top):
         for d, sub in steps:
             f[d] += f[sub]
-        counts.append(f[full])
+        counts.append(f[mask])
     return counts
+
+
+def _stacked_counts(low, up):
+    """Weak counts of an ordinal sum, L below U: the maps of L whose
+    largest value is j, times the maps of U into j..n, summed over j."""
+    return [sum((low[j] - low[j - 1]) * up[n - j + 1] for j in range(1, n + 1))
+            for n in range(len(low))]
+
+
+def _span(tree):
+    """The mask of the elements a decomposition tree covers."""
+    return tree if isinstance(tree, int) else sum(map(_span, tree[-1]))
+
+
+def _weak_map_counts(P, tree=None):
+    """Omega_weak(n) for n = 0..|P| of the subposet that ``tree``, a node
+    of ``poset.decompose(P)`` (default: all of P), covers, without the
+    d-vector: a point gives n, a disjoint union multiplies its parts'
+    counts and an ordinal sum stacks them; only a quotient or a prime
+    piece counts on its downsets."""
+    if tree is None:
+        tree = decompose(P)
+    if isinstance(tree, int) and tree & (tree - 1) == 0 < tree:
+        return list(range(len(P) + 1))
+    if isinstance(tree, int) or tree[0] == "Q":
+        return _lattice_counts(P._below, _span(tree), len(P))
+    parts = [_weak_map_counts(P, t) for t in tree[1]]
+    if tree[0] == "|":
+        return [prod(values) for values in zip(*parts)]
+    return reduce(_stacked_counts, parts)
 
 
 def reciprocity_check(P, guard=DEFAULT_GUARD):

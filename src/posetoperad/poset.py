@@ -48,7 +48,7 @@ class Poset:
     ``Poset(elements, below)`` trusts its masks to be closed and acyclic.
     """
 
-    __slots__ = ("elements", "_below", "_above", "_hash", "_covers")
+    __slots__ = ("elements", "_below", "_above", "_hash", "_covers", "_tree")
 
     def __init__(self, elements, below):
         self.elements = tuple(elements)
@@ -56,6 +56,7 @@ class Poset:
         self._above = None
         self._hash = hash((self.elements, self._below))
         self._covers = None
+        self._tree = None
 
     def _up_masks(self):
         """The strict-above masks, derived from ``_below`` on first use.
@@ -284,9 +285,12 @@ def decompose(P, mask=None):
     lexicographic sum of its maximal modules, not all points, over the
     prime quotient with those strict-below masks.  Otherwise the tree is
     the mask: a point, or a prime piece of points such as the zigzag.
+    P keeps its whole tree; racing threads at worst compute it twice.
     """
     if mask is None:
-        mask = (1 << len(P)) - 1
+        if P._tree is None:
+            P._tree = decompose(P, (1 << len(P)) - 1)
+        return P._tree
     if mask & (mask - 1) == 0:
         return mask
     below, above = P._below, P._up_masks()

@@ -4,7 +4,7 @@ Report payloads carry ``"schema": "v1"``; these dicts are what the test
 suite validates CLI output against.
 """
 
-SCHEMA_VERSION = "v1"
+from .cli import SCHEMA_VERSION
 
 RATIONAL = {"type": "string", "pattern": r"^-?[0-9]+(/[0-9]+)?$"}
 

@@ -478,7 +478,8 @@ def finite_form_identity(P, guard=DEFAULT_GUARD):
 
 def inverse_power_sum_partial(P, r, terms, mode="strict", guard=DEFAULT_GUARD):
     """Direct partial sum with an exact geometric tail majorant; returns
-    (partial, tail_bound).  Used as the independent referee in tests."""
+    (partial, tail_bound).  A referee for the tests, public because
+    ``scripts/ramanujan_sums.py`` checks each exact sum against it."""
     r = Fraction(r)
     if abs(r) <= 1:
         raise DivergentParameter(f"need |r| > 1, got {r}")

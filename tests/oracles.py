@@ -14,7 +14,7 @@ from posetoperad.counting import count_maps
 from posetoperad.errors import Record
 from posetoperad.polynomials import (BinomialPoly, MonomialPoly, SparseVec,
                                      binomial)
-from posetoperad.poset import Poset, chain
+from posetoperad.poset import Poset, chain, downsets
 
 
 def naive_count_maps(P, n, mode):
@@ -78,6 +78,25 @@ def subset_sum_weak_count(P, n):
                     arr[m] += arr[m ^ bit]
         vec = arr
     return vec[size - 1]
+
+
+def lattice_weak_counts(P):
+    """Omega_weak(P, n) for n = 0..|P| on the downset lattice of all of P:
+    a weak map onto chain(n) is a multichain of n - 1 downsets, counted by
+    n zeta transforms, each adding f(D - e) into f(D) for every downset
+    D - e, e in a linear extension order."""
+    below, full = P._below, (1 << len(P)) - 1
+    f = dict.fromkeys(downsets(below, full), 0)
+    f[0] = 1
+    steps = [(d, d ^ 1 << e)
+             for e in sorted(range(len(P)), key=lambda e: below[e].bit_count())
+             for d in f if d >> e & 1 and d ^ 1 << e in f]
+    counts = [f[full]]
+    for _ in range(len(P)):
+        for d, sub in steps:
+            f[d] += f[sub]
+        counts.append(f[full])
+    return counts
 
 
 def mask_scan_downsets(P, mask=None):

@@ -13,9 +13,8 @@ import pytest
 import posetoperad
 from posetoperad import counting
 from posetoperad.counting import (DVector, _weak_map_counts, count_maps,
-                                  count_strict_surjections, d_vector,
-                                  enumeration_report, order_polynomial,
-                                  reciprocity_check)
+                                  d_vector, enumeration_report,
+                                  order_polynomial, reciprocity_check)
 from posetoperad.dsl import parse_poset
 from posetoperad.errors import EnumerationGuard, PosetOperadError
 from posetoperad.polynomials import BinomialPoly, MonomialPoly, stirling2
@@ -24,9 +23,9 @@ from posetoperad.poset import (antichain, chain, construct_poset, lex_sum,
 from posetoperad.series import zigzag_poset
 
 from oracles import (backtracking_count_maps, downset_strict_vector,
-                     naive_count_maps, naive_linear_extensions,
-                     naive_strict_surjections, nested_sum_identity_check,
-                     subset_sum_weak_count)
+                     lattice_weak_counts, naive_count_maps,
+                     naive_linear_extensions, naive_strict_surjections,
+                     nested_sum_identity_check, subset_sum_weak_count)
 
 
 def star_poset():
@@ -149,7 +148,6 @@ def test_d_vector_is_surjection_count(classes_upto_4):
         for P in reps:
             dv = d_vector(P)
             for i in range(1, size + 1):
-                assert dv.d[i - 1] == count_strict_surjections(P, i)
                 assert dv.d[i - 1] == naive_strict_surjections(P, i)
 
 
@@ -210,6 +208,42 @@ def test_weak_map_counts_match_naive_enumeration(classes_upto_5):
         for P in reps:
             assert _weak_map_counts(P) == [naive_count_maps(P, n, "weak")
                                            for n in range(len(P) + 1)]
+
+
+def test_weak_map_counts_match_the_downset_lattice(classes_upto_6):
+    for reps in classes_upto_6.values():
+        for P in reps:
+            assert _weak_map_counts(P) == lattice_weak_counts(P)
+
+
+def test_reciprocity_counts_no_downsets_where_the_tree_has_points(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("downsets enumerated")
+    monkeypatch.setattr(counting, "downsets", refuse)
+    assert reciprocity_check(antichain(16), guard=16).passed
+    split = parse_poset("(C2|C1)*A3*(C1|C3*A2)")
+    assert reciprocity_check(split).passed
+    with pytest.raises(AssertionError, match="downsets enumerated"):
+        reciprocity_check(zigzag_poset())
+
+
+def test_one_poset_is_decomposed_once(monkeypatch):
+    from posetoperad import poset
+    from posetoperad.catalog import is_series_parallel
+    from posetoperad.series import basis_series, operad_eval_series
+    P = lex_sum(zigzag_poset(), [chain(1), antichain(2), chain(2), chain(1)])
+    whole, decompose = [], poset.decompose
+
+    def counted(Q, mask=None):  # the recursion enters here, the callers not
+        whole.append(Q is P and mask == (1 << len(P)) - 1)
+        return decompose(Q, mask)
+    monkeypatch.setattr(poset, "decompose", counted)
+    d_vector(P)
+    assert reciprocity_check(P).passed
+    operad_eval_series(P, [basis_series(1)] * len(P))
+    assert not is_series_parallel(P)
+    assert sum(whole) == 1
 
 
 def test_reciprocity_fails_on_a_wrong_d_vector(monkeypatch):

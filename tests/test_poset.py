@@ -12,7 +12,8 @@ from posetoperad.poset import (Poset, antichain, chain, construct_poset,
                                max_chain_length, ordinal_sum, tropical_eval)
 from posetoperad.series import zigzag_poset
 
-from oracles import label_lex_sum, mask_scan_downsets, naive_max_chain
+from oracles import (label_lex_sum, lattice_weak_counts, mask_scan_downsets,
+                     naive_max_chain)
 
 
 def labeled_dag(draw, max_size=5):
@@ -286,6 +287,7 @@ def test_decompose_splits_hold(classes_upto_6):
 
 def test_decompose_sums_over_prime_outers(classes_upto_5):
     from posetoperad.catalog import is_series_parallel
+    from posetoperad.counting import _weak_map_counts
     pool = [Q for n in range(1, 4) for Q in classes_upto_5[n]]
     outers = [P for n in (4, 5) for P in classes_upto_5[n]
               if not is_series_parallel(P)]
@@ -297,6 +299,10 @@ def test_decompose_sums_over_prime_outers(classes_upto_5):
             S = lex_sum(P, [rng.choice(pool) for _ in range(len(P))])
             tree = decompose(S)
             assert _tree_mask(S, tree) == (1 << len(S)) - 1
+            # the weak counts folded along the tree, also under one more split
+            for T in (S, disjoint_union(S, chain(2)),
+                      ordinal_sum(antichain(2), S)):
+                assert _weak_map_counts(T) == lattice_weak_counts(T)
             if isinstance(decompose(P), int) and len(S) > len(P):
                 # over a prime outer the blocks are the maximal modules
                 assert tree[0] == "Q" and tree[1] == P._below

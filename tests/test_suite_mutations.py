@@ -101,9 +101,10 @@ def corrupt_entry22_formula(monkeypatch):
 
 
 def corrupt_discrepancy_check(monkeypatch):
-    # the surjection counts that confirm the low-order index
-    monkeypatch.setattr(discrepancies, "count_strict_surjections",
-                        lambda *args, **kwargs: -1)
+    # the reciprocity check that confirms the low-order index
+    check = discrepancies.reciprocity_check
+    monkeypatch.setattr(discrepancies, "reciprocity_check",
+                        lambda P: check(P)._replace(passed=False))
 
 
 def corrupt_d_vector(monkeypatch):
