@@ -91,6 +91,12 @@ def _fixed(x, B):
     return (x.numerator << B) // x.denominator
 
 
+def _mantissa(x, B):
+    """The integer x 2^B for a Dyadic x that is a multiple of 2^-B (a
+    Dyadic is stored reduced, so its denominator is at most 2^B)."""
+    return x.numerator << (B - x.denominator.bit_length() + 1)
+
+
 def _float_up(x):
     """A float >= the nonnegative rational x, never 0."""
     return math.nextafter(float(x), math.inf)
@@ -295,15 +301,17 @@ class ZetaExpr(SparseVec):
 
     def eval_numeric(self, ctx=DEFAULT_CTX):
         """(Dyadic value, error bound) at the zeta kernel's B bits: the
-        constant and each coefficient times its zeta value are floored once,
-        and the bound counts those floors next to the zeta bounds."""
+        constant and each coefficient v times its zeta value man / 2^B are
+        floored once, the latter as the integer floor of v.numerator * man
+        / v.denominator, and the bound counts those floors next to the zeta
+        bounds."""
         B = _borwein_size(ctx.working_digits)[1]
         terms = self.zeta_terms()
         total = _fixed(self.constant, B)
         bound = 0.0
         for k, v in terms:
             zv, zb = zeta_value(k + 1, ctx)
-            total += _fixed(v * zv, B)
+            total += v.numerator * _mantissa(zv, B) // v.denominator
             bound += abs(float(v)) * zb
         floors = Fraction(len(terms) + 1, 1 << B)
         return Dyadic(total, 1 << B), bound + _float_up(floors)
@@ -392,21 +400,20 @@ class IdentityRecord(Record):
         }
 
 
-def _poly_tail_bound(M, D, N):
-    """Exact majorant for M * sum_{k>N} k^D 2^-k (geometric comparison);
-    None when the comparison ratio is not yet below 1."""
-    q = Fraction((N + 2) ** D, 2 * (N + 1) ** D)
-    if q >= 1:
-        return None
-    return M * Fraction((N + 1) ** D, 2 ** (N + 1)) / (1 - q)
-
-
 def _choose_series_cap(M, D, tol, cap):
+    """(N, tail): the first N tried whose exact majorant tail of
+    M * sum_(k>N) k^D 2^-k falls below tol / 2.  With a = (N+1)^D and
+    b = (N+2)^D the geometric ratio b / 2a is below 1 when b < 2a, and
+    the tail is M a / 2^(N+1) / (1 - b / 2a) = M a^2 / (2^N (2a - b)),
+    compared as one integer quotient (the float of the exact rational)."""
     N = max(8, 2 * D + 2)
     while N <= cap:
-        t = _poly_tail_bound(M, D, N)
-        if t is not None and float(t) < tol / 2:
-            return N, t
+        a, b = (N + 1) ** D, (N + 2) ** D
+        if b < 2 * a:
+            num = M.numerator * a * a
+            den = M.denominator * (2 * a - b) << N
+            if num / den < tol / 2:
+                return N, Fraction(num, den)
         N = N + max(4, N // 4)
     raise PrecisionUnachievable(
         f"series cap {cap} cannot push the tail below {tol / 2}")
@@ -431,12 +438,22 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
     The LHS sum is truncated where the certified tail bound drops below
     half the tolerance; the pass flag compares against the accumulated
     bound plus the tolerance; a bound above the tolerance raises.
+
+    The sum runs in integers.  With L the lcm of the polynomial's
+    denominators (1 for every record the package builds), L p(k) = q is an
+    integer sum of C(k, i) times integer coefficients, and zeta(k+1) - 1
+    is man / 2^B, so each term adds floor(+-q man / L), which for L = 1
+    is exact.  One floor per nonzero term is still counted, so the floor
+    count in the bound is an upper bound.
     """
     if rec.lhs_poly is None:
         raise ValueError("record carries no summable polynomial")
     poly = rec.lhs_poly
     D = poly.max_index()
-    M = sum((abs(v) for v in poly.coeffs.values()), Fraction(0))
+    L = math.lcm(*(v.denominator for v in poly.coeffs.values()))
+    coeffs = [(i, v.numerator * (L // v.denominator))
+              for i, v in poly.coeffs.items()]
+    M = Fraction(sum(abs(c) for _, c in coeffs), L)
     if not rec.alternating and D > 0:
         raise DivergentParameter(
             "non-alternating zeta-shift series need a constant polynomial")
@@ -445,15 +462,16 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
     total = floors = 0
     term_bound = 0.0
     for k in range(rec.start_index, N + 1):
-        pk = poly.eval(k)
-        if pk == 0:
+        q = sum(c * math.comb(k, i) for i, c in coeffs)
+        if q == 0:
             continue
         # by its module-level name, which perfbench's tracer wraps
         zv, zb = zeta_value(k + 1, ctx, minus_one=True)
-        sign = (-1) ** (k + 1) if rec.alternating else 1
-        total += _fixed(sign * pk * zv, B)
+        if rec.alternating and k % 2 == 0:
+            q = -q
+        total += q * _mantissa(zv, B) // L
         floors += 1
-        term_bound += abs(float(pk)) * zb
+        term_bound += abs(q) / L * zb
     lhs_val = Dyadic(total, 1 << B)
     rhs_val, rhs_bound = rec.rhs.eval_numeric(ctx)
     bound = (float(tail) + term_bound + rhs_bound

@@ -9,9 +9,11 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import comb
 
+from posetoperad import zeta
 from posetoperad.catalog import _extensions
 from posetoperad.counting import count_maps
-from posetoperad.errors import Record
+from posetoperad.errors import (DivergentParameter, PrecisionUnachievable,
+                                Record)
 from posetoperad.polynomials import (BinomialPoly, MonomialPoly, SparseVec,
                                      binomial)
 from posetoperad.poset import Poset, chain, downsets
@@ -296,3 +298,70 @@ def nested_sum_identity_check(n, k, q):
     s = nested(k, n)
     w = count_maps(chain(k), n - q + 1, "weak")
     return NestedSumReport(n, k, q, b, s, w, b == s == w)
+
+
+def fraction_series_cap(M, D, tol, cap):
+    """The series cap in Fraction powers: try N until the exact majorant
+    M (N+1)^D 2^-(N+1) / (1 - q), q = (N+2)^D / (2 (N+1)^D) < 1, rounds
+    to a float below tol / 2."""
+    N = max(8, 2 * D + 2)
+    while N <= cap:
+        q = Fraction((N + 2) ** D, 2 * (N + 1) ** D)
+        if q < 1:
+            t = M * Fraction((N + 1) ** D, 2 ** (N + 1)) / (1 - q)
+            if float(t) < tol / 2:
+                return N, t
+        N = N + max(4, N // 4)
+    raise PrecisionUnachievable(
+        f"series cap {cap} cannot push the tail below {tol / 2}")
+
+
+def fraction_eval_numeric(expr, ctx):
+    """ZetaExpr.eval_numeric with each term floored from its Fraction
+    product v * zeta(k+1)."""
+    B = zeta._borwein_size(ctx.working_digits)[1]
+    terms = expr.zeta_terms()
+    total = zeta._fixed(expr.constant, B)
+    bound = 0.0
+    for k, v in terms:
+        zv, zb = zeta.zeta_value(k + 1, ctx)
+        total += zeta._fixed(v * zv, B)
+        bound += abs(float(v)) * zb
+    floors = Fraction(len(terms) + 1, 1 << B)
+    return zeta.Dyadic(total, 1 << B), bound + zeta._float_up(floors)
+
+
+def fraction_verify_identity(rec, ctx):
+    """verify_identity with every LHS term built from Fraction products:
+    p(k) by poly.eval, times the sign and zeta(k+1) - 1, floored once."""
+    if rec.lhs_poly is None:
+        raise ValueError("record carries no summable polynomial")
+    poly = rec.lhs_poly
+    D = poly.max_index()
+    M = sum((abs(v) for v in poly.coeffs.values()), Fraction(0))
+    if not rec.alternating and D > 0:
+        raise DivergentParameter(
+            "non-alternating zeta-shift series need a constant polynomial")
+    N, tail = fraction_series_cap(M, D, ctx.verify_tolerance,
+                                  ctx.series_term_cap)
+    B = zeta._borwein_size(ctx.working_digits)[1]
+    total = floors = 0
+    term_bound = 0.0
+    for k in range(rec.start_index, N + 1):
+        pk = poly.eval(k)
+        if pk == 0:
+            continue
+        zv, zb = zeta.zeta_value(k + 1, ctx, minus_one=True)
+        sign = (-1) ** (k + 1) if rec.alternating else 1
+        total += zeta._fixed(sign * pk * zv, B)
+        floors += 1
+        term_bound += abs(float(pk)) * zb
+    lhs_val = zeta.Dyadic(total, 1 << B)
+    rhs_val, rhs_bound = fraction_eval_numeric(rec.rhs, ctx)
+    bound = (float(tail) + term_bound + rhs_bound
+             + zeta._float_up(Fraction(floors, 1 << B)))
+    zeta._check_bound(bound, ctx)
+    return rec._replace(lhs_numeric=lhs_val, rhs_numeric=rhs_val,
+                        error_bound=bound,
+                        passed=zeta._within(lhs_val, rhs_val, bound, ctx),
+                        notes=rec.notes + (f"lhs summed to k={N}",))

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -15,17 +16,18 @@ from posetoperad.errors import (MAX_DIGITS, ArityMismatch, DivergentParameter,
 from posetoperad.polynomials import BinomialPoly, bernoulli_number
 from posetoperad.poset import antichain, chain, lex_sum, ordinal_sum
 from posetoperad.series import zigzag_poset
-from posetoperad.zeta import (DEFAULT_CTX, PrecisionContext,
+from posetoperad.zeta import (DEFAULT_CTX, IdentityRecord, PrecisionContext,
                               ZETA_PASSES_KEPT, ZetaExpr, _borwein_weights,
-                              _zeta_minus_one_cached, _zeta_passes,
-                              alternating_unit_record, binomial_shift_record,
-                              entry22_check, entry22_formula, entry22_oracle,
+                              _choose_series_cap, _zeta_minus_one_cached,
+                              _zeta_passes, alternating_unit_record,
+                              binomial_shift_record, entry22_check,
+                              entry22_formula, entry22_oracle,
                               finite_form_identity, goldbach_record,
                               inverse_power_sum, inverse_power_sum_partial,
                               n_tilde, n_tilde2, operad_eval_zeta,
                               verify_identity, zeta_number, zeta_value, zhat)
 
-from oracles import x_power
+from oracles import fraction_series_cap, fraction_verify_identity, x_power
 
 
 def star_poset():
@@ -413,9 +415,98 @@ def test_entry22_oracle_values():
         entry22_check(1)
 
 
-def test_finite_form_verifies_on_corpus(classes_upto_4):
+def test_finite_form_verifies_on_corpus(classes_upto_6):
     ctx = PrecisionContext(working_digits=30, verify_tolerance=1e-10)
-    for size in range(5):
-        for P in classes_upto_4[size]:
+    for size in range(7):
+        for P in classes_upto_6[size]:
             rec = verify_identity(finite_form_identity(P), ctx)
             assert rec.passed, P
+
+
+REFEREE_CONTEXTS = [PrecisionContext(working_digits=d, verify_tolerance=t)
+                    for d in (20, 40, 60) for t in (1e-12, 1e-15)]
+
+
+def fractional_record():
+    """An alternating record whose polynomial has denominators 3 and 7, so
+    each integer term is floored by the lcm 21."""
+    poly = BinomialPoly({0: Fraction(1, 3), 2: Fraction(5, 7)})
+    return IdentityRecord(
+        lhs_description="sum_{n>=1} (-1)^(n+1) (1/3 + 5/7 C(n,2)) (zeta(n+1)-1)",
+        rhs=n_tilde2(poly), lhs_poly=poly, alternating=True)
+
+
+def fractional_goldbach_record():
+    """Goldbach's sum times 2/3: non-alternating, with denominator 3."""
+    return IdentityRecord(
+        lhs_description="sum_{n>=2} 2/3 (zeta(n)-1)",
+        rhs=ZetaExpr.make(Fraction(2, 3)),
+        lhs_poly=BinomialPoly({0: Fraction(2, 3)}), alternating=False)
+
+
+def assert_same_as_referee(rec, ctx):
+    got = verify_identity(rec, ctx)
+    assert got == fraction_verify_identity(rec, ctx), (
+        rec.lhs_description, ctx)
+    assert type(got.lhs_numeric) is type(got.rhs_numeric) is zeta.Dyadic
+    assert got.passed, (rec.lhs_description, ctx)
+
+
+@pytest.mark.parametrize("ctx", REFEREE_CONTEXTS,
+                         ids=lambda c: f"{c.working_digits}-{c.verify_tolerance}")
+def test_integer_sums_match_the_fraction_referee_on_the_corpus(
+        ctx, classes_upto_6):
+    # lhs_numeric, rhs_numeric, error_bound, passed and notes, exactly
+    for size in range(7):
+        for P in classes_upto_6[size]:
+            assert_same_as_referee(finite_form_identity(P), ctx)
+
+
+def test_integer_sums_match_the_fraction_referee_on_named_records():
+    records = [goldbach_record(), alternating_unit_record(),
+               fractional_record(), fractional_goldbach_record()]
+    records += [binomial_shift_record(k) for k in range(1, 7)]
+    for ctx in REFEREE_CONTEXTS:
+        for rec in records:
+            assert_same_as_referee(rec, ctx)
+    # the floors by the lcm 21 round: the sum sits below the exact partial
+    # sum by less than one ulp per term
+    rec = verify_identity(fractional_record())
+    N = int(rec.notes[-1].rpartition("=")[2])
+    exact = sum((-1) ** (k + 1) * rec.lhs_poly.eval(k)
+                * zeta_value(k + 1, minus_one=True)[0]
+                for k in range(1, N + 1))
+    B = zeta._borwein_size(DEFAULT_CTX.working_digits)[1]
+    assert 0 < exact - rec.lhs_numeric < Fraction(N, 1 << B)
+
+
+def test_series_cap_matches_the_fraction_referee():
+    for M in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(22, 21),
+              Fraction(13), Fraction(5040), Fraction(10 ** 9, 7)):
+        for D in (0, 1, 2, 3, 5, 8, 12):
+            for tol in (1e-3, 1e-10, 1e-12, 1e-15, 1e-40):
+                for cap in (10, 40, 4000):
+                    try:
+                        got = _choose_series_cap(M, D, tol, cap)
+                    except PrecisionUnachievable as exc:
+                        with pytest.raises(PrecisionUnachievable,
+                                           match=re.escape(str(exc))):
+                            fraction_series_cap(M, D, tol, cap)
+                    else:
+                        assert got == fraction_series_cap(M, D, tol, cap)
+    # the cramped context of test_verify_fails_loudly_when_unachievable
+    with pytest.raises(PrecisionUnachievable):
+        _choose_series_cap(Fraction(1), 0, 1e-12, 10)
+
+
+def test_integer_sum_fails_on_a_corrupted_polynomial_or_constant():
+    rec = finite_form_identity(antichain(3))
+    assert verify_identity(rec).passed
+    poly = rec.lhs_poly
+    for i in range(poly.max_index() + 1):
+        for delta in (1, -1):
+            bad = BinomialPoly({**poly.coeffs, i: poly.coeff(i) + delta})
+            assert verify_identity(rec._replace(lhs_poly=bad)).passed is False
+    for delta in (Fraction(1, 2 ** 30), -Fraction(1, 2 ** 30)):
+        moved = ZetaExpr({**rec.rhs.coeffs, 0: rec.rhs.constant + delta})
+        assert verify_identity(rec._replace(rhs=moved)).passed is False
