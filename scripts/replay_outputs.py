@@ -9,9 +9,10 @@ and diff the two outputs: equal hashes mean byte-identical command output.
     PYTHONPATH=src python scripts/replay_outputs.py commands   # one group
 
 Groups: ``readme`` (the README examples), ``commands`` (every subcommand,
-usage errors and the guard, in both formats), ``verify-suite`` (at 30, 55
-and 200 digits in both formats) and ``iso-classes`` (``poly`` and
-``zeta-identity`` on every poset class of 1 to 5 elements, both formats).
+usage errors, unknown names and the guard, in both formats),
+``verify-suite`` (at 30, 55 and 200 digits in both formats) and
+``iso-classes`` (``poly`` and ``zeta-identity`` on every poset class of 1
+to 5 elements, both formats).
 """
 
 import contextlib
@@ -50,6 +51,8 @@ COMMANDS = [
     ["tables", "--eulerian", "0"],
     ["poly", "C4000"],
     ["poly", "{x<"],
+    ["poly", "foo"],
+    ["poly", "f(C1,C2)"],
     ["eval", "{x<y,y<x}", "--at", "2"],
     ["tropical", "C2", "--lengths", "1"],
     ["--digits", "0", "poly", "C1"],

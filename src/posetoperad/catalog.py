@@ -11,20 +11,16 @@ under invariant-respecting relabelings).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from .poset import Poset, _bits, decompose, downsets
 
 
-def _extensions(down):
-    """All ways to add one element to a poset given as below-mask tuple."""
-    k = len(down)
-    up = [0] * k
-    for i in range(k):
-        for j in _bits(down[i]):
-            up[j] |= 1 << i
+def _extensions(P):
+    """All ways to add one element to the poset P, as below-mask tuples."""
+    k, down = len(P), P._below
     full = (1 << k) - 1
-    ups = downsets(up, full)
+    ups = downsets(P._up_masks(), full)
     for D in downsets(down, full):
         for U in ups:
             if D & U:
@@ -42,17 +38,13 @@ def poset_from_masks(down):
     return Poset([str(i + 1) for i in range(len(down))], down)
 
 
-def _refined_colors(n, pairs):
-    below = [set() for _ in range(n)]
-    above = [set() for _ in range(n)]
-    for a, b in pairs:
-        below[b].add(a)
-        above[a].add(b)
-    colors = [(len(below[i]), len(above[i])) for i in range(n)]
+def _refined_colors(below, above):
+    n = len(below)
+    colors = [(below[i].bit_count(), above[i].bit_count()) for i in range(n)]
     for _ in range(n):
         keys = [(colors[i],
-                 tuple(sorted(colors[j] for j in below[i])),
-                 tuple(sorted(colors[j] for j in above[i])))
+                 tuple(sorted(colors[j] for j in _bits(below[i]))),
+                 tuple(sorted(colors[j] for j in _bits(above[i]))))
                 for i in range(n)]
         ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
         new = [ranks[k] for k in keys]
@@ -66,24 +58,18 @@ def canonical_key(P):
     """Relabeling-invariant key: the minimal sorted relation tuple over all
     permutations that respect the color refinement classes."""
     n = len(P)
-    pairs = sorted(P.index_pairs())
-    colors = _refined_colors(n, pairs)
+    above = P._up_masks()
+    pairs = [(a, b) for a in range(n) for b in _bits(above[a])]
     classes = {}
-    for i, c in enumerate(colors):
+    for i, c in enumerate(_refined_colors(P._below, above)):
         classes.setdefault(c, []).append(i)
     ordered = [classes[c] for c in sorted(classes)]
-    offsets = []
-    pos = 0
-    for cl in ordered:
-        offsets.append(pos)
-        pos += len(cl)
+    pos = [0] * n
     best = None
     for perm_parts in product(*(permutations(cl) for cl in ordered)):
-        sigma = {}
-        for part, off in zip(perm_parts, offsets):
-            for t, old in enumerate(part):
-                sigma[old] = off + t
-        key = tuple(sorted((sigma[a], sigma[b]) for a, b in pairs))
+        for t, old in enumerate(chain(*perm_parts)):
+            pos[old] = t
+        key = tuple(sorted((pos[a], pos[b]) for a, b in pairs))
         if best is None or key < best:
             best = key
     return (n, best)
@@ -97,12 +83,9 @@ def iso_classes(n):
         return (Poset((), ()),)
     reps = {}
     for smaller in iso_classes(n - 1):
-        down = tuple(smaller.below_mask(i) for i in range(n - 1))
-        for extended in _extensions(down):
+        for extended in _extensions(smaller):
             Q = poset_from_masks(extended)
-            key = canonical_key(Q)
-            if key not in reps:
-                reps[key] = Q
+            reps.setdefault(canonical_key(Q), Q)
     return tuple(reps[k] for k in sorted(reps))
 
 

@@ -5,7 +5,7 @@ Grammar (EBNF)::
     expr      := term ('|' term)*
     term      := factor ('*' factor)*
     factor    := literal | literal '(' expr (',' expr)* ')' | '(' expr ')'
-    literal   := 'C' nat | 'A' nat | '{' relations '}' | ident
+    literal   := 'C' nat | 'A' nat | '{' relations '}'
     relations := relitem (',' relitem)* | <empty>
     relitem   := ident (('<'|'>') ident)*
 
@@ -54,10 +54,6 @@ class OrdinalSum(Record):
 
 class LexApply(Record):
     __slots__ = ("outer", "args")
-
-
-class Var(Record):
-    __slots__ = ("name",)
 
 
 _TOKEN_RE = re.compile(
@@ -166,8 +162,8 @@ class _Parser:
                 self.advance()
                 args.append(self.parse_expr())
             self.expect(")")
-            slots = _literal_arity(lit)
-            if slots is not None and slots != len(args):
+            slots = element_count(lit)
+            if slots != len(args):
                 raise ArityError(open_tok.line, open_tok.col,
                                  f"literal has {slots} slots, "
                                  f"got {len(args)} arguments")
@@ -184,7 +180,7 @@ class _Parser:
             if m:
                 n = int(m.group(2))
                 return ChainLit(n) if m.group(1) == "C" else AntichainLit(n)
-            return Var(t.text)
+            raise UnknownName(t.text)
         if t.text == "{":
             return self.parse_hasse()
         raise ExprSyntaxError(t.line, t.col,
@@ -197,48 +193,31 @@ class _Parser:
         covers = []
         seen = set()
 
-        def note(label):
-            if label not in seen:
-                seen.add(label)
-                labels.append(label)
+        def label():
+            t = self.peek()
+            if t.kind != "ident":
+                raise ExprSyntaxError(t.line, t.col, "an element label",
+                                      t.text or "end of input")
+            self.advance()
+            if t.text not in seen:
+                seen.add(t.text)
+                labels.append(t.text)
+            return t.text
 
         if self.peek().text != "}":
             while True:
-                first = self.peek()
-                if first.kind != "ident":
-                    raise ExprSyntaxError(first.line, first.col,
-                                          "an element label",
-                                          first.text or "end of input")
-                self.advance()
-                note(first.text)
-                prev = first.text
+                prev = label()
                 while self.peek().text in ("<", ">"):
                     op = self.advance()
-                    nxt = self.peek()
-                    if nxt.kind != "ident":
-                        raise ExprSyntaxError(nxt.line, nxt.col,
-                                              "an element label",
-                                              nxt.text or "end of input")
-                    self.advance()
-                    note(nxt.text)
-                    if op.text == "<":
-                        covers.append((prev, nxt.text))
-                    else:
-                        covers.append((nxt.text, prev))
-                    prev = nxt.text
+                    nxt = label()
+                    covers.append((prev, nxt) if op.text == "<"
+                                  else (nxt, prev))
+                    prev = nxt
                 if self.peek().text != ",":
                     break
                 self.advance()
         self.expect("}")
         return HasseLit(tuple(labels), tuple(covers))
-
-
-def _literal_arity(lit):
-    if isinstance(lit, ChainLit) or isinstance(lit, AntichainLit):
-        return lit.n
-    if isinstance(lit, HasseLit):
-        return len(lit.labels)
-    return None  # Var: unknown until resolution
 
 
 def parse_expr(text):
@@ -265,8 +244,6 @@ def format_expr(ast):
     if isinstance(ast, LexApply):
         args = ", ".join(format_expr(a) for a in ast.args)
         return f"{format_expr(ast.outer)}({args})"
-    if isinstance(ast, Var):
-        return ast.name
     raise TypeError(f"not an expression node: {ast!r}")
 
 
@@ -293,8 +270,7 @@ def _appearance_order(items):
 
 def element_count(ast):
     """|P| for the poset an expression denotes, read off the syntax tree
-    without building the poset.  A name raises UnknownName, as in
-    ``resolve``."""
+    without building the poset."""
     if isinstance(ast, (ChainLit, AntichainLit)):
         return ast.n
     if isinstance(ast, HasseLit):
@@ -302,11 +278,7 @@ def element_count(ast):
     if isinstance(ast, (Union, OrdinalSum)):
         return element_count(ast.left) + element_count(ast.right)
     if isinstance(ast, LexApply):
-        if isinstance(ast.outer, Var):
-            raise UnknownName(ast.outer.name)
         return sum(element_count(a) for a in ast.args)
-    if isinstance(ast, Var):
-        raise UnknownName(ast.name)
     raise TypeError(f"not an expression node: {ast!r}")
 
 
@@ -325,8 +297,6 @@ def resolve(ast):
     if isinstance(ast, LexApply):
         outer = resolve(ast.outer)
         return lex_sum(outer, [resolve(a) for a in ast.args])
-    if isinstance(ast, Var):
-        raise UnknownName(ast.name)
     raise TypeError(f"not an expression node: {ast!r}")
 
 

@@ -29,8 +29,11 @@ def binomial(x, k):
     """C(x, k) as an exact rational, for integer or rational x.
 
     Defined via the falling factorial, so C(q, p) = 0 for integers
-    0 <= q < p, and negative or fractional upper arguments work.
+    0 <= q < p, and negative or fractional upper arguments work; the
+    lower argument k must be an integer (ValueError otherwise).
     """
+    if k != int(k):
+        raise ValueError(f"binomial needs an integer k, got {k!r}")
     k = int(k)
     if k < 0:
         return Fraction(0)
@@ -293,6 +296,8 @@ def eulerian_polynomial(n):
     """Coefficient list of A_n(t); A_0 = 1.  Part of the paper's Ramanujan
     material (the h* numerators of antichains), so public though the
     package itself does not call it."""
+    if n < 0:
+        raise IndexOutOfRange(f"A_{n} needs n >= 0")
     if n == 0:
         return [1]
     return [eulerian_number(n, i) for i in range(n)]
@@ -317,6 +322,8 @@ def bernoulli_number(m):
     Ramanujan material (the zeta values at even integers), so public though
     the package itself does not call it.
     """
+    if m < 0:
+        raise IndexOutOfRange(f"B_{m} needs m >= 0")
     if m == 1:
         return Fraction(1, 2)
     return _bernoulli_table(m)[m]

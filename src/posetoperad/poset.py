@@ -147,6 +147,7 @@ def construct_poset(labels, covers):
     idx = {l: i for i, l in enumerate(labels)}
     below = [0] * len(labels)
     for a, b in covers:
+        a, b = str(a), str(b)
         if a not in idx:
             raise UnknownLabel(a)
         if b not in idx:

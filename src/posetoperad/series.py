@@ -139,28 +139,27 @@ def closed_form(S):
     return ClosedForm(coeffs, m + 1, S.mode)
 
 
+def _product(s1, s2, coeffs, join, name):
+    """The strict series with coefficients coeffs(s1, s2), whose provenance
+    is join of the two provenances when both have one."""
+    if s1.mode != STRICT or s2.mode != STRICT:
+        raise ModeMismatch(f"{name} is defined on strict series only")
+    prov = None
+    if s1.provenance is not None and s2.provenance is not None:
+        prov = join(s1.provenance, s2.provenance)
+    return SeriesVec(STRICT, coeffs(s1.coeffs, s2.coeffs), provenance=prov)
+
+
 def hadamard(s1, s2):
     """Hadamard product of strict series (coefficient-wise product of the
     underlying power series); realizes disjoint union on provenance."""
-    if s1.mode != STRICT or s2.mode != STRICT:
-        raise ModeMismatch("hadamard is defined on strict series only")
-    prov = None
-    if s1.provenance is not None and s2.provenance is not None:
-        prov = disjoint_union(s1.provenance, s2.provenance)
-    return SeriesVec(STRICT, cup_coeffs(s1.coeffs, s2.coeffs),
-                     provenance=prov)
+    return _product(s1, s2, cup_coeffs, disjoint_union, "hadamard")
 
 
 def ordinal_mul(s1, s2):
     """Ordinal product: bilinear extension of Z_a, Z_b -> Z_(a+b); realizes
     the ordinal sum (stacking s1 below s2) on provenance."""
-    if s1.mode != STRICT or s2.mode != STRICT:
-        raise ModeMismatch("ordinal product is defined on strict series only")
-    prov = None
-    if s1.provenance is not None and s2.provenance is not None:
-        prov = ordinal_sum(s1.provenance, s2.provenance)
-    return SeriesVec(STRICT, ordinal_coeffs(s1.coeffs, s2.coeffs),
-                     provenance=prov)
+    return _product(s1, s2, ordinal_coeffs, ordinal_sum, "ordinal product")
 
 
 def iota(S):

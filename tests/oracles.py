@@ -10,7 +10,7 @@ from itertools import permutations, product
 from math import comb
 
 from posetoperad import zeta
-from posetoperad.catalog import _extensions
+from posetoperad.catalog import _extensions, poset_from_masks
 from posetoperad.counting import count_maps
 from posetoperad.errors import (DivergentParameter, PrecisionUnachievable,
                                 Record)
@@ -275,7 +275,7 @@ def labeled_masks(n):
         yield ()
         return
     for down in labeled_masks(n - 1):
-        yield from _extensions(down)
+        yield from _extensions(poset_from_masks(down))
 
 
 class NestedSumReport(Record):

@@ -52,6 +52,17 @@ def test_canonical_key_separates_classes():
     assert len(keys) == ISO_COUNTS[5]
 
 
+def test_catalogue_pinned_by_hash():
+    # labels, masks and canonical key of every class of up to 6 elements,
+    # in order: pins the representatives, their order and the key format
+    h = hashlib.sha256()
+    for n in range(7):
+        for P in iso_classes(n):
+            h.update(repr((P.elements, P._below, canonical_key(P))).encode())
+    assert h.hexdigest() == (
+        "e9f74f119dbd49c173c70ab2f6c74c328a22bc640f669a9f4945520345690540")
+
+
 def test_series_parallel_families():
     assert not is_series_parallel(zigzag_poset())
     assert is_series_parallel(chain(5))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posetoperad import cli
 from posetoperad.counting import d_vector
 from posetoperad.dsl import (AntichainLit, ChainLit, HasseLit, LexApply,
-                             OrdinalSum, Union, Var, format_expr, parse_expr,
+                             OrdinalSum, Union, format_expr, parse_expr,
                              parse_poset, resolve)
 from posetoperad.errors import (ArityError, CycleDetected, ExprSyntaxError,
                                 UnknownName)
@@ -19,7 +20,6 @@ def test_parse_literals():
     assert parse_expr("C3") == ChainLit(3)
     assert parse_expr("A4") == AntichainLit(4)
     assert parse_expr("C0") == ChainLit(0)
-    assert parse_expr("foo") == Var("foo")
     assert resolve(parse_expr("C3")) == chain(3)
     assert resolve(parse_expr("A4")) == antichain(4)
 
@@ -85,10 +85,27 @@ def test_arity_and_name_errors():
     with pytest.raises(ArityError):
         parse_expr("{x,y}(C1, C1, C1)")
     with pytest.raises(UnknownName):
-        resolve(parse_expr("mystery"))
+        parse_expr("mystery")
     with pytest.raises(CycleDetected) as exc:
         parse_poset("{a<b, b<a}")
     assert str(exc.value) == "cycle among a, b"
+
+
+def test_a_name_is_reported_where_it_appears(capsys):
+    # the grammar has no names: any identifier other than Cn or An is an
+    # error at the parse, before any arity check of an enclosing literal
+    for text, name in (("foo", "foo"), ("f(C1, C2)", "f"),
+                       ("{a<b}(foo, C1)", "foo"), ("foo|", "foo"),
+                       ("{a,b}(foo)", "foo")):
+        with pytest.raises(UnknownName) as exc:
+            parse_expr(text)
+        assert str(exc.value) == name
+    assert cli.main(["poly", "foo"]) == 2
+    assert capsys.readouterr() == ("", "error: foo\n")
+    assert cli.main(["poly", "C1|5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 1:4: expected a literal (Cn, An, '{...}' or a name), "
+        "found '5'\n")
 
 
 def test_format_examples():

@@ -57,6 +57,18 @@ def test_eulerian_row_sums_and_errors():
         eulerian_number(0, 0)
 
 
+def test_kernels_refuse_indices_they_cannot_compute():
+    for m in (-1, -2):
+        with pytest.raises(IndexOutOfRange):
+            bernoulli_number(m)
+    with pytest.raises(IndexOutOfRange):
+        eulerian_polynomial(-1)
+    for k in (2.5, Fraction(5, 2)):
+        with pytest.raises(ValueError):
+            binomial(5, k)
+    assert binomial(5, Fraction(2)) == 10
+
+
 def test_eulerian_symmetry():
     for n in range(1, 11):
         for i in range(n):

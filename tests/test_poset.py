@@ -49,6 +49,13 @@ def test_singleton_and_errors():
         construct_poset(["a"], [("a", "b")])
 
 
+def test_integer_labels_and_cover_endpoints_become_strings():
+    P = construct_poset([1, 2], [(1, 2)])
+    assert P == construct_poset(["1", "2"], [("1", "2")]) == chain(2)
+    with pytest.raises(UnknownLabel):
+        construct_poset([1], [(1, 2)])
+
+
 def test_canonical_families():
     C = chain(3)
     assert C.relation == {("1", "2"), ("1", "3"), ("2", "3")}

@@ -11,7 +11,7 @@ import pytest
 from posetoperad.counting import DVector, ReciprocityReport, order_polynomial
 from posetoperad.discrepancies import Discrepancy
 from posetoperad.dsl import (AntichainLit, ChainLit, HasseLit, LexApply,
-                             OrdinalSum, Union, Var, _Tok)
+                             OrdinalSum, Union, _Tok)
 from posetoperad.errors import PosetOperadError, Record
 from posetoperad.polynomials import BinomialPoly
 from posetoperad.poset import antichain, chain
@@ -26,11 +26,11 @@ SAMPLES = [
     (ChainLit, (3,), (4,)),
     (AntichainLit, (2,), (3,)),
     (HasseLit, (("x", "y"), (("x", "y"),)), (("x", "y"), ())),
-    (Union, (ChainLit(1), Var("x")), (ChainLit(1), Var("y"))),
-    (OrdinalSum, (ChainLit(1), Var("x")), (ChainLit(2), Var("x"))),
-    (LexApply, (Var("f"), (ChainLit(1), ChainLit(2))),
-     (Var("f"), (ChainLit(2), ChainLit(1)))),
-    (Var, ("x",), ("y",)),
+    (Union, (ChainLit(1), AntichainLit(2)), (ChainLit(1), AntichainLit(3))),
+    (OrdinalSum, (ChainLit(1), AntichainLit(2)),
+     (ChainLit(2), AntichainLit(2))),
+    (LexApply, (ChainLit(2), (ChainLit(1), ChainLit(2))),
+     (ChainLit(2), (ChainLit(2), ChainLit(1)))),
     (_Tok, ("ident", "x", 1, 2), ("ident", "x", 1, 3)),
     (DVector, (chain(2), (0, 1)), (antichain(2), (1, 2))),
     (ReciprocityReport, (chain(2), order_polynomial(chain(2)),
@@ -109,7 +109,7 @@ def test_replace_copy_and_pickle(cls, values, other):
 
 
 def test_equality_needs_the_exact_type():
-    a, b = ChainLit(1), Var("x")
+    a, b = ChainLit(1), AntichainLit(2)
     assert Union(a, b) != OrdinalSum(a, b)
     assert ChainLit(1) != AntichainLit(1)
     assert len({Union(a, b), OrdinalSum(a, b), ChainLit(1),
@@ -120,8 +120,8 @@ def test_equality_needs_the_exact_type():
 
 def test_repr_is_the_dataclass_format():
     assert repr(ChainLit(3)) == "ChainLit(n=3)"
-    assert repr(Union(ChainLit(1), Var("x"))) == \
-        "Union(left=ChainLit(n=1), right=Var(name='x'))"
+    assert repr(Union(ChainLit(1), AntichainLit(2))) == \
+        "Union(left=ChainLit(n=1), right=AntichainLit(n=2))"
     assert repr(PrecisionContext()) == ("PrecisionContext(working_digits=50, "
                                         "verify_tolerance=1e-12, "
                                         "series_term_cap=4000)")
