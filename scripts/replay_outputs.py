@@ -49,6 +49,8 @@ COMMANDS = [
     ["tropical", "C2*A2", "--lengths", "1,2,3,4"],
     ["tables", "--stirling", "5"],
     ["tables", "--eulerian", "0"],
+    ["tables", "--eulerian", "40"],
+    ["tables", "--stirling", "40"],
     ["poly", "C4000"],
     ["poly", "{x<"],
     ["poly", "foo"],

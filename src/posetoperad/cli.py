@@ -70,6 +70,10 @@ _tolerance = _arg_type(float, lambda v: 0 < v < math.inf,
 _ratio = _arg_type(Fraction, lambda v: True, "need a rational number")
 _digits = _arg_type(_positive, lambda v: v <= MAX_DIGITS,
                     f"need at most {MAX_DIGITS} digits")
+# a table's output grows as n^3 digits, about 75 MB at this many rows
+MAX_TABLE_ROWS = 500
+_rows = _arg_type(_nonnegative, lambda v: v <= MAX_TABLE_ROWS,
+                  f"need at most {MAX_TABLE_ROWS} rows")
 
 
 def build_parser():
@@ -123,8 +127,8 @@ def build_parser():
 
     s = sub.add_parser("tables", help="print number-triangle rows")
     which = s.add_mutually_exclusive_group(required=True)
-    which.add_argument("--eulerian", type=_nonnegative, metavar="N")
-    which.add_argument("--stirling", type=_nonnegative, metavar="N")
+    which.add_argument("--eulerian", type=_rows, metavar="N")
+    which.add_argument("--stirling", type=_rows, metavar="N")
 
     sub.add_parser("verify-suite", help="run the identity battery")
     return p
@@ -241,19 +245,16 @@ def _cmd_tropical(args):
 
 
 def _cmd_tables(args):
-    from .polynomials import eulerian_number, stirling2
+    from .polynomials import eulerian_rows, stirling_rows
     if args.eulerian is not None:
-        n_max = args.eulerian
-        rows = {str(n): [eulerian_number(n, i) for i in range(n)]
-                for n in range(1, n_max + 1)}
-        lines = [f"A({n},.) = {row}" for n, row in rows.items()]
-        _emit(args, lines, {"value": rows, "table": "eulerian"})
+        table, name, first = "eulerian", "A", 1
+        rows = eulerian_rows(args.eulerian)
     else:
-        n_max = args.stirling
-        rows = {str(n): [stirling2(n, k) for k in range(n + 1)]
-                for n in range(0, n_max + 1)}
-        lines = [f"S({n},.) = {row}" for n, row in rows.items()]
-        _emit(args, lines, {"value": rows, "table": "stirling"})
+        table, name, first = "stirling", "S", 0
+        rows = stirling_rows(args.stirling)
+    rows = {str(n): row for n, row in enumerate(rows, first)}
+    lines = [f"{name}({n},.) = {row}" for n, row in rows.items()]
+    _emit(args, lines, {"value": rows, "table": table})
     return EXIT_OK
 
 
@@ -323,20 +324,13 @@ def _suite_cases(args):
 
 def _cmd_verify_suite(args):
     results = []
-    all_pass = True
     for case_id, run in _suite_cases(args):
         status, detail = run()
-        if status == "FAIL":
-            all_pass = False
         results.append({"id": case_id, "status": status, "detail": detail})
-    if args.format == "json":
-        print(json.dumps({"schema": SCHEMA_VERSION, "cases": results,
-                          "all_pass": all_pass},
-                         indent=2, sort_keys=True))
-    else:
-        for r in results:
-            print(f"{r['status']:4s} {r['id']}  {r['detail']}")
-        print(f"{'all passed' if all_pass else 'FAILURES PRESENT'}")
+    all_pass = all(r["status"] != "FAIL" for r in results)
+    lines = [f"{r['status']:4s} {r['id']}  {r['detail']}" for r in results]
+    lines.append("all passed" if all_pass else "FAILURES PRESENT")
+    _emit(args, lines, {"cases": results, "all_pass": all_pass})
     return EXIT_OK if all_pass else EXIT_FAIL
 
 

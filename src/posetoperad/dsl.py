@@ -184,7 +184,7 @@ class _Parser:
         if t.text == "{":
             return self.parse_hasse()
         raise ExprSyntaxError(t.line, t.col,
-                              "a literal (Cn, An, '{...}' or a name)",
+                              "a literal (Cn, An, '{...}')",
                               t.text or "end of input")
 
     def parse_hasse(self):

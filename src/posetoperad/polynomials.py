@@ -18,6 +18,7 @@ live behind ``functools.lru_cache`` and are safe for concurrent readers.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -267,29 +268,38 @@ def weak_sign_flip(coeffs, k):
     return {i: v if (k - i) % 2 == 0 else -v for i, v in coeffs.items()}
 
 
-@lru_cache(maxsize=None)
+def stirling_rows(n):
+    """The rows [S(m, 0), ..., S(m, m)] for m = 0 to n, each built from the
+    one before by S(m+1, k) = k S(m, k) + S(m, k-1)."""
+    row = [1]
+    for m in range(n + 1):
+        if m:
+            row = [k * a + b
+                   for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+        yield row
+
+
+def eulerian_rows(n):
+    """The rows [A(m, 0), ..., A(m, m-1)] for m = 1 to n, each built from
+    the one before by A(m+1, i) = (i+1) A(m, i) + (m+1-i) A(m, i-1)."""
+    row = [1]
+    for m in range(1, n + 1):
+        if m > 1:
+            row = [(i + 1) * a + (m - i) * b
+                   for i, (a, b) in enumerate(zip(row + [0], [0] + row))]
+        yield row
+
+
 def stirling2(n, k):
-    """Stirling number of the second kind S(n, k)."""
-    if n < 0 or k < 0:
-        return 0
-    if n == 0 and k == 0:
-        return 1
-    if n == 0 or k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    """Stirling number of the second kind S(n, k); 0 unless 0 <= k <= n."""
+    return deque(stirling_rows(n), maxlen=1)[0][k] if 0 <= k <= n else 0
 
 
 def eulerian_number(n, i):
-    """A(n, i) by the explicit alternating-sum formula.
-
-    Requires 1 <= n and 0 <= i <= n-1; terms with i+1-r <= 0 vanish.
-    """
+    """A(n, i), for 1 <= n and 0 <= i <= n-1."""
     if n < 1 or i < 0 or i > n - 1:
         raise IndexOutOfRange(f"A({n},{i}) outside 0 <= i <= n-1")
-    total = 0
-    for r in range(i + 1):
-        total += (-1) ** r * comb(n + 1, r) * (i + 1 - r) ** n
-    return total
+    return deque(eulerian_rows(n), maxlen=1)[0][i]
 
 
 def eulerian_polynomial(n):
@@ -298,9 +308,7 @@ def eulerian_polynomial(n):
     package itself does not call it."""
     if n < 0:
         raise IndexOutOfRange(f"A_{n} needs n >= 0")
-    if n == 0:
-        return [1]
-    return [eulerian_number(n, i) for i in range(n)]
+    return deque(eulerian_rows(n), maxlen=1)[0] if n else [1]
 
 
 @lru_cache(maxsize=None)

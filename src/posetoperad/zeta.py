@@ -6,10 +6,11 @@ runs on Python integers only.  zeta(s) comes from Borwein's alternating
 series ("An efficient algorithm for the Riemann zeta function", 2000) in
 B-bit fixed point, one pass shared by every s.  The verification sums, the
 direct sum in entry22_check and the decimal rendering work on the same
-integers, so every value is an exact Dyadic, every bound counts its floors,
-PASS is an exact rational comparison, and no state is process-global: the
-whole layer is safe to call from several threads.  mpmath is not needed;
-a Dyadic exposes ``_mpf_`` so that mpmath code can still read it.
+integers, so every value is an exact Dyadic, every bound is an exact sum
+that counts its floors, rounded up to a float once, PASS is an exact
+rational comparison, and no state is process-global: the whole layer is
+safe to call from several threads.  mpmath is not needed; a Dyadic
+exposes ``_mpf_`` so that mpmath code can still read it.
 """
 
 from __future__ import annotations
@@ -142,9 +143,9 @@ class _BorweinPass:
     floor.  The terms of s + 1 are those of s divided by k + 1: for positive
     integers floor(floor(x/a)/b) = floor(x/(ab)), so each s gets the same
     integers as a pass of its own, from one big division per k in all.  The
-    bound is the truncation 2 * 3/(3+sqrt 8)^n, the 2 covering
-    1/(1 - 2^(1-s)) for s >= 2, plus 2n + 1 ulps: the n term floors, doubled
-    by the same factor, and the division's own.
+    bound, one Dyadic for all s, is the truncation 2 * 3/(3+sqrt 8)^n, the 2
+    covering 1/(1 - 2^(1-s)) for s >= 2, rounded up to ulps, plus 2n + 1 ulps:
+    the n term floors, doubled by the same factor, and the division's own.
     """
 
     def __init__(self, n, B):
@@ -154,8 +155,8 @@ class _BorweinPass:
                       for k, w in enumerate(weights)]
         self.values = []  # (zeta(s) - 1, zeta(s)) at index s - 2
         # 3 + sqrt 8 > 1457/250
-        self.bound = _float_up(Fraction(6 * 250 ** n, 1457 ** n)
-                               + Fraction(2 * n + 1, self.one))
+        truncation = -(-(6 * 250 ** n << B) // 1457 ** n)
+        self.bound = Dyadic(truncation + 2 * n + 1, self.one)
 
     def extend(self, s):
         one, terms = self.one, self.terms
@@ -194,7 +195,7 @@ def _zeta_minus_one_cached(s, digits):
 
 def zeta_value(s, ctx=DEFAULT_CTX, minus_one=False):
     """(value, error_bound) for zeta(s) or zeta(s) - 1, s an integer >= 2;
-    the value is a Dyadic."""
+    both are Dyadics, and the bound is the same for every s."""
     if not isinstance(s, int) or s < 2:
         raise ValueError("zeta_value needs an integer s >= 2")
     minus, plain, bound = _zeta_minus_one_cached(s, ctx.working_digits)
@@ -300,21 +301,21 @@ class ZetaExpr(SparseVec):
         return f"ZetaExpr({self.render()})"
 
     def eval_numeric(self, ctx=DEFAULT_CTX):
-        """(Dyadic value, error bound) at the zeta kernel's B bits: the
-        constant and each coefficient v times its zeta value man / 2^B are
-        floored once, the latter as the integer floor of v.numerator * man
-        / v.denominator, and the bound counts those floors next to the zeta
-        bounds."""
+        """(Dyadic value, exact error bound) at the zeta kernel's B bits:
+        the constant and each coefficient v times its zeta value man / 2^B
+        are floored once, the latter as the integer floor of v.numerator *
+        man / v.denominator, and the bound sum |v| zb + (terms + 1) 2^-B is
+        counted in ulps times L, the lcm of the denominators."""
         B = _borwein_size(ctx.working_digits)[1]
         terms = self.zeta_terms()
         total = _fixed(self.constant, B)
-        bound = 0.0
+        L = math.lcm(*(v.denominator for _, v in terms))
+        ulps = (len(terms) + 1) * L
         for k, v in terms:
             zv, zb = zeta_value(k + 1, ctx)
             total += v.numerator * _mantissa(zv, B) // v.denominator
-            bound += abs(float(v)) * zb
-        floors = Fraction(len(terms) + 1, 1 << B)
-        return Dyadic(total, 1 << B), bound + _float_up(floors)
+            ulps += abs(v.numerator) * (L // v.denominator) * _mantissa(zb, B)
+        return Dyadic(total, 1 << B), Fraction(ulps, L << B)
 
     def to_json_dict(self):
         return {"constant": str(self.constant),
@@ -419,17 +420,16 @@ def _choose_series_cap(M, D, tol, cap):
         f"series cap {cap} cannot push the tail below {tol / 2}")
 
 
-def _check_bound(bound, ctx):
-    """A bound above the tolerance would pass whatever it swallows."""
+def _verdict(lhs, rhs, bound, ctx):
+    """(the exact bound rounded up to a float, PASS), both decided exactly:
+    a bound above the tolerance would pass whatever it swallows, so it
+    raises, and PASS is |lhs - rhs| <= bound + tolerance."""
     if bound > ctx.verify_tolerance:
         raise PrecisionUnachievable(
-            f"error bound {bound:.3e} exceeds tolerance "
+            f"error bound {_float_up(bound):.3e} exceeds tolerance "
             f"{ctx.verify_tolerance:.3e}; raise the working digits")
-
-
-def _within(lhs, rhs, bound, ctx):
-    """PASS, decided exactly: |lhs - rhs| <= bound + tolerance."""
-    return abs(lhs - rhs) <= Fraction(bound) + Fraction(ctx.verify_tolerance)
+    return (_float_up(bound),
+            abs(lhs - rhs) <= bound + Fraction(ctx.verify_tolerance))
 
 
 def verify_identity(rec, ctx=DEFAULT_CTX):
@@ -444,7 +444,8 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
     integer sum of C(k, i) times integer coefficients, and zeta(k+1) - 1
     is man / 2^B, so each term adds floor(+-q man / L), which for L = 1
     is exact.  One floor per nonzero term is still counted, so the floor
-    count in the bound is an upper bound.
+    count in the bound is an upper bound.  The bound, tail + (sum |q| / L)
+    zb + RHS bound + floors 2^-B, is exact until the record rounds it up.
     """
     if rec.lhs_poly is None:
         raise ValueError("record carries no summable polynomial")
@@ -459,8 +460,7 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
             "non-alternating zeta-shift series need a constant polynomial")
     N, tail = _choose_series_cap(M, D, ctx.verify_tolerance, ctx.series_term_cap)
     B = _borwein_size(ctx.working_digits)[1]
-    total = floors = 0
-    term_bound = 0.0
+    total = floors = weight = zb = 0
     for k in range(rec.start_index, N + 1):
         q = sum(c * math.comb(k, i) for i, c in coeffs)
         if q == 0:
@@ -471,15 +471,14 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
             q = -q
         total += q * _mantissa(zv, B) // L
         floors += 1
-        term_bound += abs(q) / L * zb
+        weight += abs(q)
     lhs_val = Dyadic(total, 1 << B)
     rhs_val, rhs_bound = rec.rhs.eval_numeric(ctx)
-    bound = (float(tail) + term_bound + rhs_bound
-             + _float_up(Fraction(floors, 1 << B)))
-    _check_bound(bound, ctx)
+    ulps = weight * _mantissa(zb, B) + floors * L
+    bound, passed = _verdict(lhs_val, rhs_val,
+                             tail + Fraction(ulps, L << B) + rhs_bound, ctx)
     return rec._replace(lhs_numeric=lhs_val, rhs_numeric=rhs_val,
-                        error_bound=bound,
-                        passed=_within(lhs_val, rhs_val, bound, ctx),
+                        error_bound=bound, passed=passed,
                         notes=rec.notes + (f"lhs summed to k={N}",))
 
 
@@ -591,11 +590,10 @@ def entry22_check(k, ctx=DEFAULT_CTX):
     B = _dps_to_prec(ctx.working_digits + _GUARD_DIGITS) + M.bit_length()
     one = 1 << B
     total = Dyadic(sum(one // (n * (n + 1)) ** k for n in range(1, M + 1)), one)
-    tail = float(Fraction(1, (2 * k - 1) * M ** (2 * k - 1)))
+    tail = Fraction(1, (2 * k - 1) * M ** (2 * k - 1))
     rhs_val, rhs_bound = formula.eval_numeric(ctx)
-    bound = tail + _float_up(Fraction(M, one)) + rhs_bound
-    _check_bound(bound, ctx)
-    passed = _within(total, rhs_val, bound, ctx)
+    bound, passed = _verdict(total, rhs_val,
+                             tail + Fraction(M, one) + rhs_bound, ctx)
     notes = [f"telescoping oracle: {oracle.render()}",
              f"formula matches oracle: {formula == oracle}"]
     return IdentityRecord(

@@ -7,7 +7,7 @@ instances.
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 
 from posetoperad import zeta
 from posetoperad.catalog import _extensions, poset_from_masks
@@ -179,6 +179,19 @@ def descent_eulerian(n, i):
     return count
 
 
+def explicit_eulerian(n, i):
+    """A(n, i) by the explicit alternating sum
+    sum_(r<=i) (-1)^r C(n+1, r) (i+1-r)^n."""
+    return sum((-1) ** r * comb(n + 1, r) * (i + 1 - r) ** n
+               for r in range(i + 1))
+
+
+def explicit_stirling2(n, k):
+    """S(n, k) by the explicit sum sum_j (-1)^(k-j) C(k, j) j^n / k!."""
+    total = sum((-1) ** (k - j) * comb(k, j) * j ** n for j in range(k + 1))
+    return total // factorial(k)
+
+
 def partition_stirling2(n, k):
     """Set partitions of [n] into exactly k blocks, by direct enumeration."""
     if n == 0:
@@ -318,22 +331,23 @@ def fraction_series_cap(M, D, tol, cap):
 
 def fraction_eval_numeric(expr, ctx):
     """ZetaExpr.eval_numeric with each term floored from its Fraction
-    product v * zeta(k+1)."""
+    product v * zeta(k+1), and the bound summed term by term in
+    Fractions."""
     B = zeta._borwein_size(ctx.working_digits)[1]
     terms = expr.zeta_terms()
     total = zeta._fixed(expr.constant, B)
-    bound = 0.0
+    bound = Fraction(len(terms) + 1, 1 << B)
     for k, v in terms:
         zv, zb = zeta.zeta_value(k + 1, ctx)
         total += zeta._fixed(v * zv, B)
-        bound += abs(float(v)) * zb
-    floors = Fraction(len(terms) + 1, 1 << B)
-    return zeta.Dyadic(total, 1 << B), bound + zeta._float_up(floors)
+        bound += abs(v) * Fraction(zb)
+    return zeta.Dyadic(total, 1 << B), bound
 
 
 def fraction_verify_identity(rec, ctx):
     """verify_identity with every LHS term built from Fraction products:
-    p(k) by poly.eval, times the sign and zeta(k+1) - 1, floored once."""
+    p(k) by poly.eval, times the sign and zeta(k+1) - 1, floored once, and
+    the bound summed term by term in Fractions."""
     if rec.lhs_poly is None:
         raise ValueError("record carries no summable polynomial")
     poly = rec.lhs_poly
@@ -346,7 +360,7 @@ def fraction_verify_identity(rec, ctx):
                                   ctx.series_term_cap)
     B = zeta._borwein_size(ctx.working_digits)[1]
     total = floors = 0
-    term_bound = 0.0
+    term_bound = Fraction(0)
     for k in range(rec.start_index, N + 1):
         pk = poly.eval(k)
         if pk == 0:
@@ -355,13 +369,12 @@ def fraction_verify_identity(rec, ctx):
         sign = (-1) ** (k + 1) if rec.alternating else 1
         total += zeta._fixed(sign * pk * zv, B)
         floors += 1
-        term_bound += abs(float(pk)) * zb
+        term_bound += abs(pk) * Fraction(zb)
     lhs_val = zeta.Dyadic(total, 1 << B)
     rhs_val, rhs_bound = fraction_eval_numeric(rec.rhs, ctx)
-    bound = (float(tail) + term_bound + rhs_bound
-             + zeta._float_up(Fraction(floors, 1 << B)))
-    zeta._check_bound(bound, ctx)
+    bound, passed = zeta._verdict(
+        lhs_val, rhs_val,
+        tail + term_bound + rhs_bound + Fraction(floors, 1 << B), ctx)
     return rec._replace(lhs_numeric=lhs_val, rhs_numeric=rhs_val,
-                        error_bound=bound,
-                        passed=zeta._within(lhs_val, rhs_val, bound, ctx),
+                        error_bound=bound, passed=passed,
                         notes=rec.notes + (f"lhs summed to k={N}",))

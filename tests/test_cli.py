@@ -118,6 +118,17 @@ def test_negative_values_are_usage_errors(capsys, argv, flag):
     assert code == EXIT_USAGE and flag in err and ">= 0" in err and out == ""
 
 
+@pytest.mark.parametrize("flag", ["--eulerian", "--stirling"])
+def test_table_size_above_the_ceiling_is_usage_error(capsys, flag):
+    from posetoperad.cli import MAX_TABLE_ROWS, build_parser
+    assert MAX_TABLE_ROWS == 500
+    code, out, err = run(capsys, "tables", flag, "501")
+    assert code == EXIT_USAGE and out == ""
+    assert f"argument {flag}: need at most 500 rows, got '501'" in err
+    args = build_parser().parse_args(["tables", flag, "500"])
+    assert vars(args)[flag[2:]] == 500
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "poly", "{x<}")
     assert code == EXIT_USAGE and "expected" in err
@@ -272,6 +283,14 @@ def test_digits_above_the_ceiling_is_usage_error(capsys, monkeypatch,
     args = build_parser().parse_args(
         ["--digits", str(MAX_DIGITS), "verify-suite"])
     assert args.digits == MAX_DIGITS
+
+
+def test_tolerance_below_the_smallest_float_bound_passes(capsys):
+    # each zeta bound is an exact Dyadic, so at 400 digits the identity's
+    # bound falls far below 1e-300 and below any float zeta bound
+    code, out, err = run(capsys, "--digits", "400", "--tolerance", "1e-300",
+                         "--term-cap", "100000000", "zeta-identity", "A12")
+    assert (code, err) == (EXIT_OK, "") and "pass: True" in out
 
 
 def test_env_var_digits_not_an_integer(capsys, monkeypatch):

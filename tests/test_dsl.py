@@ -104,7 +104,7 @@ def test_a_name_is_reported_where_it_appears(capsys):
     assert capsys.readouterr() == ("", "error: foo\n")
     assert cli.main(["poly", "C1|5"]) == 2
     assert capsys.readouterr().err == (
-        "error: 1:4: expected a literal (Cn, An, '{...}' or a name), "
+        "error: 1:4: expected a literal (Cn, An, '{...}'), "
         "found '5'\n")
 
 

@@ -8,10 +8,11 @@ from posetoperad.errors import IndexOutOfRange, ModeMismatch
 from posetoperad.polynomials import (BinomialPoly, MonomialPoly,
                                      bernoulli_number, binomial,
                                      eulerian_number, eulerian_polynomial,
-                                     multiset_coeff, stirling2)
+                                     eulerian_rows, multiset_coeff, stirling2,
+                                     stirling_rows)
 
-from oracles import (descent_eulerian, partition_stirling2, poly_from_json,
-                     x_power)
+from oracles import (descent_eulerian, explicit_eulerian, explicit_stirling2,
+                     partition_stirling2, poly_from_json, x_power)
 
 
 def test_binomial_values():
@@ -45,6 +46,20 @@ def test_eulerian_against_descent_oracle():
     assert eulerian_number(3, 1) == 4
     assert eulerian_polynomial(4) == [1, 11, 11, 1]
     assert all(eulerian_number(n, 0) == 1 for n in range(1, 9))
+
+
+def test_rows_match_the_explicit_sums():
+    rows = list(eulerian_rows(60))
+    assert len(rows) == 60
+    for n, row in enumerate(rows, 1):
+        assert row == [explicit_eulerian(n, i) for i in range(n)], n
+    rows = list(stirling_rows(60))
+    assert len(rows) == 61
+    for n, row in enumerate(rows):
+        assert row == [explicit_stirling2(n, k) for k in range(n + 1)], n
+    assert list(eulerian_rows(0)) == []
+    # one value reads the last of 601 rows, with no recursion
+    assert stirling2(600, 300) == explicit_stirling2(600, 300)
 
 
 def test_eulerian_row_sums_and_errors():

@@ -314,6 +314,43 @@ def test_identity_record_pass_definition():
     assert blob["pass"] is True and blob["rhs"]["constant"] == "1"
 
 
+def test_printed_bound_covers_its_exact_parts(classes_upto_6):
+    # the float a record prints is at least the exact sum of the parts it
+    # certifies: the tail, |p(k)| zb for each summed term, |v| zb for each
+    # RHS term, and one ulp for each floor
+    ctxs = [PrecisionContext(working_digits=d) for d in (20, 30, 40, 50)]
+    for size in range(1, 7):
+        for P in classes_upto_6[size]:
+            form = finite_form_identity(P)
+            poly = form.lhs_poly
+            # the tolerance and the cap, so N and the tail, are shared
+            N, tail = fraction_series_cap(
+                sum(abs(v) for v in poly.coeffs.values()), poly.max_index(),
+                DEFAULT_CTX.verify_tolerance, DEFAULT_CTX.series_term_cap)
+            lhs = [abs(poly.eval(k)) for k in range(form.start_index, N + 1)]
+            lhs = [c for c in lhs if c]
+            rhs = [abs(v) for _, v in form.rhs.zeta_terms()]
+            for ctx in ctxs:
+                rec = verify_identity(form, ctx)
+                assert rec.notes[-1] == f"lhs summed to k={N}"
+                B = zeta._borwein_size(ctx.working_digits)[1]
+                zb = Fraction(zeta_value(2, ctx)[1])
+                parts = (tail + (sum(lhs) + sum(rhs)) * zb
+                         + Fraction(len(lhs) + len(rhs) + 1, 1 << B))
+                assert Fraction(rec.error_bound) >= parts, (P, ctx)
+
+
+def test_zeta_bound_is_one_dyadic_below_any_float():
+    # the kernel's bound is the same Dyadic for every s, and at 400 digits
+    # it lies far below the smallest positive float
+    ctx = PrecisionContext(working_digits=400)
+    bounds = {zeta_value(s, ctx, minus_one=m)[1]
+              for s in (2, 3, 50, 400) for m in (False, True)}
+    assert len(bounds) == 1
+    (b,) = bounds
+    assert type(b) is zeta.Dyadic and 0 < b < Fraction(10) ** -400
+
+
 def test_verify_fails_loudly_when_unachievable():
     rec = goldbach_record()
     cramped = PrecisionContext(verify_tolerance=1e-12, series_term_cap=10)
