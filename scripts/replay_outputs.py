@@ -10,9 +10,10 @@ and diff the two outputs: equal hashes mean byte-identical command output.
 
 Groups: ``readme`` (the README examples), ``commands`` (every subcommand,
 usage errors, unknown names and the guard, in both formats),
-``verify-suite`` (at 30, 55 and 200 digits in both formats) and
+``verify-suite`` (at 30, 55 and 200 digits in both formats),
 ``iso-classes`` (``poly`` and ``zeta-identity`` on every poset class of 1
-to 5 elements, both formats).
+to 5 elements, both formats) and ``series`` (``series`` in both modes on
+every poset class of 0 to 6 elements, both formats).
 """
 
 import contextlib
@@ -51,6 +52,8 @@ COMMANDS = [
     ["tables", "--eulerian", "0"],
     ["tables", "--eulerian", "40"],
     ["tables", "--stirling", "40"],
+    ["--guard", "40", "series", "A40"],
+    ["--guard", "40", "series", "A40", "--weak"],
     ["poly", "C4000"],
     ["poly", "{x<"],
     ["poly", "foo"],
@@ -77,12 +80,15 @@ def groups():
     """Group name -> list of argv lists."""
     iso = [[cmd, _expr(P)] for n in range(1, 6) for P in iso_classes(n)
            for cmd in ("poly", "zeta-identity")]
+    series = [["series", _expr(P), mode] for n in range(7)
+              for P in iso_classes(n) for mode in ("--strict", "--weak")]
     return {
         "readme": README,
         "commands": [f + job for job in COMMANDS for f in FORMATS],
         "verify-suite": [f + ["--digits", d, "verify-suite"]
                          for d in ("30", "55", "200") for f in FORMATS],
         "iso-classes": [f + job for job in iso for f in FORMATS],
+        "series": [f + job for job in series for f in FORMATS],
     }
 
 

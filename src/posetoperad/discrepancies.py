@@ -16,7 +16,7 @@ from .counting import reciprocity_check
 from .errors import Record
 from .polynomials import MonomialPoly, stirling2
 from .poset import chain, lex_sum
-from .series import series_of, zigzag_poset
+from .series import _horner, series_of, zigzag_poset
 from .zeta import operad_eval_zeta, zhat
 
 
@@ -72,31 +72,19 @@ def quaternary_zeta_example_discrepancy():
 def points_expansion_sign_discrepancy():
     """The printed expansion identity for a disjoint union of points drops
     an alternating sign when the right side is reindexed."""
-    x = MonomialPoly({1: 1})
-    one = MonomialPoly({0: 1})
-    one_minus_x = one - x
+    def c(n, k):
+        return factorial(k) * stirling2(n, k)
 
-    def lhs(n):
-        total = MonomialPoly({})
-        for k in range(1, n + 1):
-            term = x ** (k - 1) * one_minus_x ** (n - k)
-            total = total + term.scale(
-                Fraction(stirling2(n, k)) * factorial(k))
-        return total
+    def lhs(n):  # sum_k c(n,k) x^(k-1) (1-x)^(n-k)
+        return _horner(MonomialPoly({k - 1: c(n, k)}) for k in range(1, n + 1))
 
-    def printed_rhs(n):
-        total = MonomialPoly({})
-        for k in range(1, n + 1):
-            total = total + (one_minus_x ** k).scale(
-                Fraction(stirling2(n, n - k)) * factorial(n - k))
-        return total
+    def printed_rhs(n):  # sum_k c(n,n-k) (1-x)^k; a zero term for k = 0
+        return _horner([*(MonomialPoly({0: c(n, n - k)})
+                          for k in range(n, 0, -1)), MonomialPoly({})])
 
-    def corrected_rhs(n):
-        total = MonomialPoly({})
-        for k in range(1, n + 1):
-            total = total + (one_minus_x ** (n - k)).scale(
-                Fraction((-1) ** (n - k) * stirling2(n, k)) * factorial(k))
-        return total
+    def corrected_rhs(n):  # sum_k (-1)^(n-k) c(n,k) (1-x)^(n-k)
+        return _horner(MonomialPoly({0: (-1) ** (n - k) * c(n, k)})
+                       for k in range(1, n + 1))
 
     printed_fails = lhs(2) != printed_rhs(2)
     corrected_holds = all(lhs(n) == corrected_rhs(n) for n in range(1, 7))

@@ -55,12 +55,15 @@ def multiset_coeff(x, k):
 
 
 def clean_coeffs(coeffs):
-    """{index: value} with int keys and nonzero Fraction values."""
+    """{index: value} with int keys and nonzero Fraction values; a negative
+    index names no basis element and raises IndexOutOfRange."""
     out = {}
     for i, v in (coeffs or {}).items():
-        v = Fraction(v)
+        i, v = int(i), Fraction(v)
+        if i < 0:
+            raise IndexOutOfRange(f"basis index {i} < 0")
         if v:
-            out[int(i)] = v
+            out[i] = v
     return out
 
 
@@ -187,13 +190,6 @@ class MonomialPoly(SparseVec):
             for j, b in other.coeffs.items():
                 out[i + j] = out.get(i + j, Fraction(0)) + a * b
         return MonomialPoly(out)
-
-    def __pow__(self, e):
-        """p^e for an integer e >= 0, by repeated multiplication."""
-        out = MonomialPoly({0: 1})
-        for _ in range(e):
-            out = out * self
-        return out
 
     def eval(self, x):
         x = Fraction(x)

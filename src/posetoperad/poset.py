@@ -23,18 +23,13 @@ def _bits(mask):
 
 
 def _close_masks(below):
-    """Transitive closure of down-masks by iterated relational squaring."""
+    """Transitive closure of down-masks by Warshall's algorithm: for each k,
+    whatever lies below k lies below every element above k."""
     below = list(below)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(below)):
-            new = below[i]
-            for j in _bits(below[i]):
-                new |= below[j]
-            if new != below[i]:
-                below[i] = new
-                changed = True
+    for k, down in enumerate(below):
+        for i, m in enumerate(below):
+            if m >> k & 1:
+                below[i] = m | down
     return below
 
 

@@ -17,6 +17,7 @@ from posetoperad.errors import (DivergentParameter, PrecisionUnachievable,
 from posetoperad.polynomials import (BinomialPoly, MonomialPoly, SparseVec,
                                      binomial)
 from posetoperad.poset import Poset, chain, downsets
+from posetoperad.series import ClosedForm
 
 
 def naive_count_maps(P, n, mode):
@@ -262,6 +263,42 @@ def closed_form_expand(cf, terms):
     return [sum((c * binomial(t - j + p - 1, p - 1)
                  for j, c in enumerate(cf.numerator) if j <= t), Fraction(0))
             for t in range(terms)]
+
+
+def power_sum_closed_form(S):
+    """The closed form by its definition: the numerator
+    sum_i c_i lead_i (1-x)^(m-i), lead_i = x^i (strict) or x (weak), with
+    each power of (1-x) built by repeated multiplication."""
+    m = S.max_index()
+    one_minus_x = MonomialPoly({0: 1, 1: -1})
+    num = MonomialPoly({})
+    for i, c in S.coeffs.items():
+        term = MonomialPoly({i if S.mode == "strict" else 1: c})
+        for _ in range(m - i):
+            term = term * one_minus_x
+        num = num + term
+    return ClosedForm(tuple(num.coeff(t) for t in range(num.max_index() + 1)),
+                      m + 1, S.mode)
+
+
+def dfs_closure(n, covers):
+    """Strict-below masks of the relation generated by the index pairs
+    (a, b), a below b, on elements 0..n-1: what a depth-first search down
+    the pairs reaches from each element (an element on a cycle reaches
+    itself)."""
+    down = [[] for _ in range(n)]
+    for a, b in covers:
+        down[b].append(a)
+    masks = []
+    for i in range(n):
+        seen, stack = set(), list(down[i])
+        while stack:
+            j = stack.pop()
+            if j not in seen:
+                seen.add(j)
+                stack.extend(down[j])
+        masks.append(sum(1 << j for j in seen))
+    return masks
 
 
 def poly_from_json(d):

@@ -12,8 +12,8 @@ from posetoperad.poset import (Poset, antichain, chain, construct_poset,
                                max_chain_length, ordinal_sum, tropical_eval)
 from posetoperad.series import zigzag_poset
 
-from oracles import (label_lex_sum, lattice_weak_counts, mask_scan_downsets,
-                     naive_max_chain)
+from oracles import (dfs_closure, label_lex_sum, lattice_weak_counts,
+                     mask_scan_downsets, naive_max_chain)
 
 
 def labeled_dag(draw, max_size=5):
@@ -70,6 +70,39 @@ def test_closure_transitivity():
     assert ("a", "d") in P.relation
     assert len(P.relation) == 6
     assert P.covers() == (("a", "b"), ("b", "c"), ("c", "d"))
+
+
+def test_closure_matches_dfs_referee():
+    # seeded random cover lists on 0-12 elements: half of them oriented
+    # along a random order (acyclic), half drawn freely (cycles and loops)
+    rng = random.Random(22)
+    cycles = 0
+    for trial in range(2000):
+        n = rng.randint(0, 12)
+        order = rng.sample(range(n), n)
+        covers = []
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if trial % 2 == 0:
+                if a == b:
+                    continue
+                a, b = sorted((a, b), key=order.index)
+            covers.append((a, b))
+        labels = [f"e{i}" for i in range(n)]
+        want = dfs_closure(n, covers)
+        looped = [i for i in range(n) if want[i] >> i & 1]
+        pairs = [(labels[a], labels[b]) for a, b in covers]
+        if not looped:
+            assert construct_poset(labels, pairs)._below == tuple(want)
+            continue
+        cycles += 1
+        i = looped[0]
+        cycle = [labels[j] for j in range(n)
+                 if want[i] >> j & 1 and want[j] >> i & 1]
+        with pytest.raises(CycleDetected) as exc:
+            construct_poset(labels, pairs)
+        assert str(exc.value) == "cycle among " + ", ".join(cycle)
+    assert 100 < cycles < 1000
 
 
 def test_lex_sum_two_chains_stack():

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from posetoperad.counting import count_maps, d_vector
+from posetoperad import series
+from posetoperad.counting import DEFAULT_GUARD, count_maps, d_vector
 from posetoperad.errors import (ArityMismatch, EnumerationGuard,
-                                MissingProvenance, ModeMismatch,
-                                PosetOperadError, UnknownIdentity)
-from posetoperad.polynomials import eulerian_polynomial
+                                IndexOutOfRange, MissingProvenance,
+                                ModeMismatch, PosetOperadError,
+                                UnknownIdentity)
+from posetoperad.polynomials import (BinomialPoly, MonomialPoly,
+                                     eulerian_polynomial)
 from posetoperad.poset import (antichain, chain, construct_poset,
                                disjoint_union, lex_sum, ordinal_sum)
 from posetoperad.series import (SeriesVec, basis_series, closed_form,
@@ -18,7 +21,8 @@ from posetoperad.series import (SeriesVec, basis_series, closed_form,
                                 ordinal_mul, series_identity_check, series_of,
                                 zigzag_poset)
 
-from oracles import closed_form_expand, downset_strict_vector
+from oracles import (closed_form_expand, downset_strict_vector,
+                     power_sum_closed_form)
 
 
 def star_poset():
@@ -63,6 +67,51 @@ def test_closed_form_expansion_matches_counts(classes_upto_4):
                 assert expanded[1:] == counts[1:]
                 if size:
                     assert expanded[0] == counts[0] == 0
+
+
+def test_closed_form_matches_power_sum_referee(classes_upto_6):
+    rng = random.Random(23)
+    vecs = [series_of(P, mode) for reps in classes_upto_6.values()
+            for P in reps for mode in ("strict", "weak")]
+    assert len(vecs) == 812
+    for _ in range(2000):
+        coeffs = {rng.randrange(13): Fraction(rng.randint(-9, 9),
+                                              rng.randint(1, 9))
+                  for _ in range(rng.randint(0, 6))}
+        vecs += [SeriesVec(mode, coeffs) for mode in ("strict", "weak")]
+    for S in vecs:
+        got, want = closed_form(S), power_sum_closed_form(S)
+        assert got == want and repr(got) == repr(want), S
+
+
+@pytest.mark.parametrize("mode", ["strict", "weak"])
+def test_closed_form_makes_one_product_per_index(monkeypatch, mode):
+    # Horner's rule in 1 - x: 41 products for A40's top index 40 (and one
+    # by x for the weak form), where a power of (1 - x) per index made 820
+    S = series_of(antichain(40), mode, guard=40)
+    calls = []
+    mul = MonomialPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(MonomialPoly, "__mul__", counted)
+    cf = closed_form(S)
+    assert len(calls) <= 42
+    monkeypatch.undo()
+    assert cf == power_sum_closed_form(S)
+
+
+def test_negative_basis_index_is_refused():
+    for build in (lambda c: SeriesVec("strict", c),
+                  lambda c: SeriesVec("weak", c),
+                  MonomialPoly, BinomialPoly):
+        with pytest.raises(IndexOutOfRange):
+            build({-1: 1, 2: 3})
+        with pytest.raises(IndexOutOfRange):
+            build({-1: 0})
+    with pytest.raises(IndexOutOfRange):
+        SeriesVec.from_json_dict({"mode": "weak", "coeffs": {"-1": "1"}})
 
 
 def test_hadamard_examples():
@@ -325,6 +374,25 @@ def test_hstar_and_antichain_identities(classes_upto_4):
         assert series_identity_check("antichain_strict_weak", {"n": n}).passed
     with pytest.raises(UnknownIdentity):
         series_identity_check("no_such_identity", {})
+
+
+@pytest.mark.parametrize("extra", [{2: 1}, {4: 1}],
+                         ids=["same-top-index", "higher-top-index"])
+def test_antichain_identity_fails_on_a_corrupted_weak_series(monkeypatch,
+                                                             extra):
+    # a coefficient added below A3's top index moves the weak numerator;
+    # one above it moves the denominator power
+    true_series_of = series.series_of
+
+    def patched(P, mode="strict", guard=DEFAULT_GUARD):
+        S = true_series_of(P, mode, guard)
+        if mode == "weak" and P == antichain(3):
+            return S + SeriesVec("weak", extra)
+        return S
+    monkeypatch.setattr(series, "series_of", patched)
+    assert series_identity_check("antichain_strict_weak", {"n": 2}).passed
+    assert not series_identity_check("antichain_strict_weak",
+                                     {"n": 3}).passed
 
 
 def test_nonsense_fourth_slot_units():

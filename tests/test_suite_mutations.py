@@ -107,6 +107,13 @@ def corrupt_discrepancy_check(monkeypatch):
                         lambda P: check(P)._replace(passed=False))
 
 
+def corrupt_stirling2(monkeypatch):
+    # S(4, 2) = 7 read as 8: the corrected expansion no longer holds at n = 4
+    true_stirling2 = discrepancies.stirling2
+    monkeypatch.setattr(discrepancies, "stirling2",
+                        lambda n, k: true_stirling2(n, k) + ((n, k) == (4, 2)))
+
+
 def corrupt_d_vector(monkeypatch):
     true_d_vector = counting.d_vector
 
@@ -123,6 +130,7 @@ MUTATIONS = [
     (corrupt_binomial_shift, "binomial-shift:k=3"),
     (corrupt_entry22_formula, "inverse-product:k=3"),
     (corrupt_discrepancy_check, "discrepancy:quaternary-low-order-index"),
+    (corrupt_stirling2, "discrepancy:points-expansion-sign"),
     (corrupt_d_vector, "reciprocity:A3"),
 ]
 
