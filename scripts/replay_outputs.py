@@ -12,8 +12,9 @@ Groups: ``readme`` (the README examples), ``commands`` (every subcommand,
 usage errors, unknown names and the guard, in both formats),
 ``verify-suite`` (at 30, 55 and 200 digits in both formats),
 ``iso-classes`` (``poly`` and ``zeta-identity`` on every poset class of 1
-to 5 elements, both formats) and ``series`` (``series`` in both modes on
-every poset class of 0 to 6 elements, both formats).
+to 5 elements, both formats), ``series`` (``series`` in both modes on
+every poset class of 0 to 6 elements, both formats) and ``limits`` (inputs
+at and past the size ceilings, both formats).
 """
 
 import contextlib
@@ -65,6 +66,21 @@ COMMANDS = [
     ["--tolerance", "1e-300", "zeta-identity", "A2"],
 ]
 
+# past float range, past a ceiling or past Python's int-str limit: each
+# ends in a documented exit code within seconds
+LIMITS = [
+    ["--guard", "90", "zeta-identity", "A90"],
+    ["--guard", "95", "zeta-identity", "A95"],
+    ["--digits", "400", "--tolerance", "1e-320", "verify-suite"],
+    ["--tolerance", "1e-26", "verify-suite"],
+    ["--guard", "2000", "poly", "A2000"],
+    ["--guard", "1000", "series", "A1000", "--weak"],
+    ["--guard", "501", "poly", "A2"],
+    ["--guard", "500", "series", "A500"],
+    ["eval", "C2", "--at", "9" * 3000],
+    ["inverse-sum", "A3", "--r", "7" * 1500],
+]
+
 
 def _expr(P):
     """A DSL expression for P: its relation pairs, then its isolated
@@ -89,6 +105,7 @@ def groups():
                          for d in ("30", "55", "200") for f in FORMATS],
         "iso-classes": [f + job for job in iso for f in FORMATS],
         "series": [f + job for job in series for f in FORMATS],
+        "limits": [f + job for job in LIMITS for f in FORMATS],
     }
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, permutations, product
 
-from .poset import Poset, _bits, decompose, downsets
+from .poset import Poset, _bits, decompose, downsets, poset_from_masks
 
 
 def _extensions(P):
@@ -32,10 +32,6 @@ def _extensions(P):
                    for i in range(k)]
             new.append(D)
             yield tuple(new)
-
-
-def poset_from_masks(down):
-    return Poset([str(i + 1) for i in range(len(down))], down)
 
 
 def _refined_colors(below, above):
@@ -75,7 +71,7 @@ def canonical_key(P):
     return (n, best)
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def iso_classes(n):
     """One canonical representative per isomorphism class of n-element
     posets, generated by extending the (n-1)-element representatives."""

@@ -153,7 +153,7 @@ class DVector(Record):
                                    f"(>= 1): {self.d}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def d_vector(P, guard=DEFAULT_GUARD):
     """d_i = number of strict surjections P -> chain(i), read off the
     substitution decomposition of P (``poset.decompose``)."""

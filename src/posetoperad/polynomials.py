@@ -12,15 +12,13 @@ The Hadamard and ordinal products of strict coefficient maps
 (``cup_coeffs``, ``ordinal_coeffs``) live here too, so that the d-vector
 engine in ``counting`` and the order series in ``series`` share one copy.
 
-Everything here is exact rational arithmetic; no floats.  The memo tables
-live behind ``functools.lru_cache`` and are safe for concurrent readers.
+Everything here is exact rational arithmetic; no floats, and no memo.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .errors import IndexOutOfRange, ModeMismatch
@@ -185,11 +183,7 @@ class MonomialPoly(SparseVec):
                                SparseVec.scale)
 
     def __mul__(self, other):
-        out = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                out[i + j] = out.get(i + j, Fraction(0)) + a * b
-        return MonomialPoly(out)
+        return MonomialPoly(ordinal_coeffs(self.coeffs, other.coeffs))
 
     def eval(self, x):
         x = Fraction(x)
@@ -218,7 +212,6 @@ class MonomialPoly(SparseVec):
             lambda i: "1" if i == 0 else (var if i == 1 else f"{var}^{i}"))
 
 
-@lru_cache(maxsize=None)
 def _choose_monomial(i, shift):
     """Monomial expansion of C(x + shift, i)."""
     out = MonomialPoly({0: 1})
@@ -227,24 +220,19 @@ def _choose_monomial(i, shift):
     return out.scale(Fraction(1, factorial(i)))
 
 
-@lru_cache(maxsize=None)
-def _cup_constants(n, s):
-    """C(x,n) C(x,s) over {C(x,k)} as {k: int}: the Hadamard structural
-    constants Z_n cup Z_s of strict series."""
-    if s > n:
-        n, s = s, n
-    return {n + j: comb(n + j, s) * comb(s, j) for j in range(s + 1)}
-
-
 def cup_coeffs(a, b):
     """Product of two binomial-basis coefficient maps: the pointwise
     product of the polynomials, which is the Hadamard product of strict
-    series and the disjoint union of posets."""
+    series and the disjoint union of posets.  For s <= n,
+    C(x,n) C(x,s) = sum_(n<=k<=n+s) C(k,s) C(s,k-n) C(x,k): the
+    structural constants of Z_n cup Z_s."""
     out = {}
     for i, u in a.items():
         for j, v in b.items():
-            for k, m in _cup_constants(i, j).items():
-                out[k] = out.get(k, 0) + u * v * m
+            n, s = (i, j) if i >= j else (j, i)
+            uv = u * v
+            for k in range(n, n + s + 1):
+                out[k] = out.get(k, 0) + uv * (comb(k, s) * comb(s, k - n))
     return out
 
 
@@ -307,17 +295,6 @@ def eulerian_polynomial(n):
     return deque(eulerian_rows(n), maxlen=1)[0] if n else [1]
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_table(m):
-    # Standard recurrence sum_{k<=m} C(m+1,k) B_k = 0 with B_0 = 1;
-    # this yields B_1 = -1/2, flipped to +1/2 below per our convention.
-    table = [Fraction(1)]
-    for j in range(1, m + 1):
-        acc = sum(comb(j + 1, k) * table[k] for k in range(j))
-        table.append(Fraction(-acc, j + 1))
-    return tuple(table)
-
-
 def bernoulli_number(m):
     """Bernoulli number B_m with the B_1 = +1/2 sign convention.
 
@@ -330,4 +307,9 @@ def bernoulli_number(m):
         raise IndexOutOfRange(f"B_{m} needs m >= 0")
     if m == 1:
         return Fraction(1, 2)
-    return _bernoulli_table(m)[m]
+    # sum_(k<=j) C(j+1, k) B_k = 0 with B_0 = 1, which gives B_1 = -1/2
+    table = [Fraction(1)]
+    for j in range(1, m + 1):
+        acc = sum(comb(j + 1, k) * table[k] for k in range(j))
+        table.append(Fraction(-acc, j + 1))
+    return table[m]

@@ -157,14 +157,18 @@ def construct_poset(labels, covers):
     return Poset(labels, below)
 
 
+def poset_from_masks(below):
+    """The poset on labels 1..n with the closed strict-below masks below."""
+    return Poset([str(i + 1) for i in range(len(below))], below)
+
+
 def chain(n):
     """The chain 1 < 2 < ... < n; n = 0 gives the empty poset."""
-    return Poset([str(i + 1) for i in range(n)],
-                 [(1 << i) - 1 for i in range(n)])
+    return poset_from_masks([(1 << i) - 1 for i in range(n)])
 
 
 def antichain(n):
-    return Poset([str(i + 1) for i in range(n)], [0] * n)
+    return poset_from_masks([0] * n)
 
 
 def lex_sum(outer, inner):

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .counting import (DEFAULT_GUARD, check_guard, d_vector,
-                       order_polynomial, substitute_coeffs)
+from .counting import (DEFAULT_GUARD, check_guard, order_polynomial,
+                       substitute_coeffs)
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
                      ModeMismatch, PosetOperadError, Record, UnknownIdentity)
 from .polynomials import (MonomialPoly, SparseVec, clean_coeffs, cup_coeffs,
                           ordinal_coeffs, weak_sign_flip)
-from .poset import (Poset, chain, construct_poset, disjoint_union, lex_sum,
-                    ordinal_sum)
+from .poset import (Poset, antichain, chain, construct_poset, disjoint_union,
+                    lex_sum, ordinal_sum)
 
 STRICT = "strict"
 WEAK = "weak"
@@ -211,10 +211,7 @@ def operad_eval_series(P, args, guard=DEFAULT_GUARD):
         provenance = lex_sum(P, [a.provenance for a in args])
         check_guard(len(provenance), guard)
         for i, a in enumerate(args):
-            # series_of(a.provenance) without building it: the nonzero
-            # entries of the cached d-vector, or the unit for the empty poset
-            d = d_vector(a.provenance, guard).d
-            if a.coeffs != ({k: v for k, v in enumerate(d, 1) if v} or {0: 1}):
+            if a.coeffs != order_polynomial(a.provenance, STRICT, guard).coeffs:
                 raise PosetOperadError(
                     f"slot {i + 1} ({P.elements[i]}): {a.render()} is not "
                     f"the series of its provenance poset")
@@ -318,7 +315,6 @@ def _check_hstar_top(P, guard):
 
 
 def _check_antichain_strict_weak(n, guard):
-    from .poset import antichain
     P = antichain(n)
     s = closed_form(series_of(P, STRICT, guard))
     w = closed_form(series_of(P, WEAK, guard))

@@ -8,9 +8,9 @@ B-bit fixed point, one pass shared by every s.  The verification sums, the
 direct sum in entry22_check and the decimal rendering work on the same
 integers, so every value is an exact Dyadic, every bound is an exact sum
 that counts its floors, rounded up to a float once, PASS is an exact
-rational comparison, and no state is process-global: the whole layer is
-safe to call from several threads.  mpmath is not needed; a Dyadic
-exposes ``_mpf_`` so that mpmath code can still read it.
+rational comparison, and the one shared state, the zeta passes, is read
+under a lock: the layer is safe to call from several threads.  mpmath is
+not needed; a Dyadic exposes ``_mpf_`` so that mpmath code can read it.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from functools import lru_cache
 
 from .counting import DEFAULT_GUARD, count_maps, order_polynomial
-from .errors import (MAX_DIGITS, ArityMismatch, DivergentParameter,
-                     MissingProvenance, PosetOperadError,
+from .errors import (MAX_DIGITS, MAX_DIRECT_TERMS, ArityMismatch,
+                     DivergentParameter, MissingProvenance, PosetOperadError,
                      PrecisionUnachievable, Record)
 from .polynomials import BinomialPoly, SparseVec, binomial, render_sum
 from .poset import chain, lex_sum, max_chain_length
@@ -170,27 +171,14 @@ class _BorweinPass:
         self.terms = terms
 
 
-_zeta_lock = threading.Lock()
-_zeta_passes = {}  # digits -> _BorweinPass, the most recently used last
+_zeta_lock = threading.Lock()  # guards the lookup, extend and the read
 ZETA_PASSES_KEPT = 4
 
 
-def _zeta_minus_one_cached(s, digits):
-    """(zeta(s) - 1, zeta(s), bound) from the pass for the digits,
-    extended to s under the lock; the ZETA_PASSES_KEPT latest are kept."""
-    with _zeta_lock:
-        zp = _zeta_passes.pop(digits, None)
-        if zp is None:
-            if digits > MAX_DIGITS:
-                raise PrecisionUnachievable(
-                    f"{digits} working digits exceed the ceiling "
-                    f"{MAX_DIGITS} for zeta({s})")
-            zp = _BorweinPass(*_borwein_size(digits))
-            if len(_zeta_passes) >= ZETA_PASSES_KEPT:
-                del _zeta_passes[next(iter(_zeta_passes))]
-        _zeta_passes[digits] = zp
-        zp.extend(s)
-        return zp.values[s - 2] + (zp.bound,)
+@lru_cache(maxsize=ZETA_PASSES_KEPT)
+def _zeta_pass(digits):
+    """The pass for the digits, called under the lock: one build per miss."""
+    return _BorweinPass(*_borwein_size(digits))
 
 
 def zeta_value(s, ctx=DEFAULT_CTX, minus_one=False):
@@ -198,8 +186,15 @@ def zeta_value(s, ctx=DEFAULT_CTX, minus_one=False):
     both are Dyadics, and the bound is the same for every s."""
     if not isinstance(s, int) or s < 2:
         raise ValueError("zeta_value needs an integer s >= 2")
-    minus, plain, bound = _zeta_minus_one_cached(s, ctx.working_digits)
-    return (minus if minus_one else plain), bound
+    if ctx.working_digits > MAX_DIGITS:
+        raise PrecisionUnachievable(
+            f"{ctx.working_digits} working digits exceed the ceiling "
+            f"{MAX_DIGITS} for zeta({s})")
+    with _zeta_lock:
+        zp = _zeta_pass(ctx.working_digits)
+        zp.extend(s)
+        minus, plain = zp.values[s - 2]
+    return (minus if minus_one else plain), zp.bound
 
 
 def nstr(x, n):
@@ -406,14 +401,14 @@ def _choose_series_cap(M, D, tol, cap):
     M * sum_(k>N) k^D 2^-k falls below tol / 2.  With a = (N+1)^D and
     b = (N+2)^D the geometric ratio b / 2a is below 1 when b < 2a, and
     the tail is M a / 2^(N+1) / (1 - b / 2a) = M a^2 / (2^N (2a - b)),
-    compared as one integer quotient (the float of the exact rational)."""
+    one integer quotient, compared as a float once below 2^1023 > tol / 2."""
     N = max(8, 2 * D + 2)
     while N <= cap:
         a, b = (N + 1) ** D, (N + 2) ** D
         if b < 2 * a:
             num = M.numerator * a * a
             den = M.denominator * (2 * a - b) << N
-            if num / den < tol / 2:
+            if num < den << 1023 and num / den < tol / 2:
                 return N, Fraction(num, den)
         N = N + max(4, N // 4)
     raise PrecisionUnachievable(
@@ -584,8 +579,16 @@ def entry22_check(k, ctx=DEFAULT_CTX):
     formula = entry22_formula(k)
     oracle = entry22_oracle(k)
     tol = ctx.verify_tolerance
-    # integral tail: sum_{n>M} n^-2k < M^(1-2k)/(2k-1)
-    M = max(64, int(math.ceil((4 / (tol * (2 * k - 1))) ** (1 / (2 * k - 1)))))
+    # integral tail: sum_{n>M} n^-2k < M^(1-2k)/(2k-1), at most tol/4 for
+    # the least M with M^e >= need, e = 2k-1, need = ceil(4/(e tol))
+    e = 2 * k - 1
+    need = math.ceil(4 / (e * Fraction(tol)))
+    if need > MAX_DIRECT_TERMS ** e:
+        raise PrecisionUnachievable(
+            f"tolerance {tol:.3e} needs more than {MAX_DIRECT_TERMS} terms "
+            f"of the direct sum for k={k}")
+    M = round(need ** (1 / e))  # within 1 of the root below the ceiling
+    M = max(64, M + (M ** e < need) - ((M - 1) ** e >= need))
     # fixed point: one floor per term, M ulps in all
     B = _dps_to_prec(ctx.working_digits + _GUARD_DIGITS) + M.bit_length()
     one = 1 << B

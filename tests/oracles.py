@@ -359,7 +359,7 @@ def fraction_series_cap(M, D, tol, cap):
         q = Fraction((N + 2) ** D, 2 * (N + 1) ** D)
         if q < 1:
             t = M * Fraction((N + 1) ** D, 2 ** (N + 1)) / (1 - q)
-            if float(t) < tol / 2:
+            if t < 2 ** 1023 and float(t) < tol / 2:
                 return N, t
         N = N + max(4, N // 4)
     raise PrecisionUnachievable(

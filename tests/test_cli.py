@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -127,6 +128,65 @@ def test_table_size_above_the_ceiling_is_usage_error(capsys, flag):
     assert f"argument {flag}: need at most 500 rows, got '501'" in err
     args = build_parser().parse_args(["tables", flag, "500"])
     assert vars(args)[flag[2:]] == 500
+
+
+def test_guard_above_the_ceiling_is_usage_error(capsys):
+    from posetoperad.cli import MAX_GUARD, build_parser
+    assert MAX_GUARD == 500
+    code, out, err = run(capsys, "--guard", "501", "poly", "C3")
+    assert code == EXIT_USAGE and out == ""
+    assert "argument --guard: need at most 500 elements, got '501'" in err
+    assert build_parser().parse_args(["--guard", "500", "poly", "C3"]).guard \
+        == 500
+
+
+INT_STR_LIMIT = ("error: a number of more than 4300 digits cannot be read "
+                 "or printed")
+
+
+# a tail past float range, a --guard over its ceiling, and results past
+# Python's int-str digit limit
+@pytest.mark.parametrize("argv, want, message", [
+    (["--guard", "90", "zeta-identity", "A90"], EXIT_FAIL,
+     "error: error bound 1.269e+231 exceeds tolerance"),
+    (["--guard", "95", "zeta-identity", "A95"], EXIT_FAIL,
+     "error: error bound 5.142e+249 exceeds tolerance"),
+    (["--guard", "2000", "poly", "A2000"], EXIT_USAGE,
+     "error: argument --guard: need at most 500 elements, got '2000'"),
+    (["--guard", "1000", "series", "A1000", "--weak"], EXIT_USAGE,
+     "error: argument --guard: need at most 500 elements, got '1000'"),
+    (["eval", "C2", "--at", "9" * 3000], EXIT_USAGE, INT_STR_LIMIT),
+    (["inverse-sum", "A3", "--r", "7" * 1500], EXIT_USAGE, INT_STR_LIMIT),
+], ids=["A90-bound", "A95-tail", "guard-2000", "guard-1000", "eval-digits",
+        "inverse-sum-digits"])
+def test_inputs_past_a_limit_end_in_their_exit_code(capsys, argv, want,
+                                                    message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert code == want and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == \
+        [err.splitlines()[-1]]
+    assert message in err and "Traceback" not in err
+
+
+# a direct sum over its ceiling fails its own case; the other cases still run
+@pytest.mark.parametrize("argv, refused", [
+    (["--tolerance", "1e-26"], [2]),
+    (["--digits", "400", "--tolerance", "1e-320"], [2, 3, 4]),
+], ids=["1e-26", "1e-320"])
+def test_refused_suite_case_fails_alone(capsys, argv, refused):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "verify-suite")
+    assert time.perf_counter() - start < 10
+    assert code == EXIT_FAIL and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 42 and lines[-1] == "FAILURES PRESENT"
+    tol = argv[-1].replace("e-", ".000e-")
+    assert [line for line in lines if not line.startswith(("PASS", "FLAG"))] \
+        == [f"FAIL inverse-product:k={k}  not computed: tolerance {tol} "
+            f"needs more than 10000000 terms of the direct sum for k={k}"
+            for k in refused] + ["FAILURES PRESENT"]
 
 
 def test_parse_error_exit_code(capsys):

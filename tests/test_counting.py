@@ -143,6 +143,17 @@ def test_d_vector_of_a_sum_over_the_zigzag():
     assert d_vector(S).d == downset_strict_vector(S)
 
 
+def test_d_vector_cache_is_bounded(classes_upto_6):
+    # a long stream of distinct posets keeps at most the default 128
+    # d-vectors, and an evicted one is counted again to the same vector
+    first = classes_upto_6[6][:200]
+    assert len(set(first)) == 200
+    kept = [d_vector(P) for P in first]
+    info = d_vector.cache_info()
+    assert info.maxsize == 128 and info.currsize <= 128
+    assert [d_vector(P) for P in first[:10]] == kept[:10]
+
+
 def test_d_vector_is_surjection_count(classes_upto_4):
     for size, reps in classes_upto_4.items():
         for P in reps:

@@ -6,7 +6,7 @@ import pytest
 
 from posetoperad.errors import IndexOutOfRange, ModeMismatch
 from posetoperad.polynomials import (BinomialPoly, MonomialPoly,
-                                     bernoulli_number, binomial,
+                                     bernoulli_number, binomial, cup_coeffs,
                                      eulerian_number, eulerian_polynomial,
                                      eulerian_rows, multiset_coeff, stirling2,
                                      stirling_rows)
@@ -160,6 +160,19 @@ def test_round_trip_binomial_monomial(coeffs):
 def test_monomial_agrees_with_binomial_eval(coeffs, x):
     p = BinomialPoly(coeffs)
     assert p.eval(x) == p.to_monomial().eval(x)
+
+
+@given(st.dictionaries(st.integers(min_value=0, max_value=7), small_fracs,
+                       max_size=4),
+       st.dictionaries(st.integers(min_value=0, max_value=7), small_fracs,
+                       max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_cup_coeffs_is_the_pointwise_product(a, b):
+    # the structural constants C(x,n) C(x,s) over {C(x,k)}, read at the
+    # 16 points 0..15, which fix a polynomial of degree at most 14
+    product = BinomialPoly(cup_coeffs(a, b))
+    assert all(product.eval(x) == BinomialPoly(a).eval(x) *
+               BinomialPoly(b).eval(x) for x in range(16))
 
 
 def test_alternating_power_sum_entry():

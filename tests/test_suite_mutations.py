@@ -124,6 +124,18 @@ def corrupt_d_vector(monkeypatch):
     monkeypatch.setattr(counting, "d_vector", patched)
 
 
+def corrupt_operad_eval_zeta(monkeypatch):
+    # one coefficient of the zigzag's zeta-side evaluation moved: zhat_4
+    # read as -7, not -8
+    true_eval = discrepancies.operad_eval_zeta
+
+    def patched(P, args):
+        expr = true_eval(P, args)
+        return zeta.ZetaExpr({**expr.coeffs, 4: expr.coeff(4) + 1},
+                             expr.provenance)
+    monkeypatch.setattr(discrepancies, "operad_eval_zeta", patched)
+
+
 MUTATIONS = [
     (corrupt_unit_evaluation, "quaternary-table:03"),
     (corrupt_goldbach, "goldbach:unit"),
@@ -131,6 +143,7 @@ MUTATIONS = [
     (corrupt_entry22_formula, "inverse-product:k=3"),
     (corrupt_discrepancy_check, "discrepancy:quaternary-low-order-index"),
     (corrupt_stirling2, "discrepancy:points-expansion-sign"),
+    (corrupt_operad_eval_zeta, "discrepancy:quaternary-zeta-example"),
     (corrupt_d_vector, "reciprocity:A3"),
 ]
 

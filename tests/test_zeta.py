@@ -18,8 +18,8 @@ from posetoperad.poset import antichain, chain, lex_sum, ordinal_sum
 from posetoperad.series import zigzag_poset
 from posetoperad.zeta import (DEFAULT_CTX, IdentityRecord, PrecisionContext,
                               ZETA_PASSES_KEPT, ZetaExpr, _borwein_weights,
-                              _choose_series_cap, _zeta_minus_one_cached,
-                              _zeta_passes, alternating_unit_record,
+                              _choose_series_cap, _zeta_pass,
+                              alternating_unit_record,
                               binomial_shift_record, entry22_check,
                               entry22_formula, entry22_oracle,
                               finite_form_identity, goldbach_record,
@@ -44,8 +44,8 @@ def test_zeta2_matches_pi_squared_over_six():
 
 def test_zeta_two_parameter_choices_agree_to_30_digits():
     # two Borwein term counts (chosen for 30 and 80 digits) agree to 30
-    a, _, _ = _zeta_minus_one_cached(3, 30)
-    b, _, _ = _zeta_minus_one_cached(3, 80)
+    a, _ = zeta_value(3, PrecisionContext(working_digits=30), minus_one=True)
+    b, _ = zeta_value(3, PrecisionContext(working_digits=80), minus_one=True)
     with mpmath.workdps(45):
         assert abs(a - b) < mpmath.mpf(10) ** -30
 
@@ -84,20 +84,32 @@ def test_borwein_weights_are_integers():
         assert weights == tuple(dn - x for x in exact[:n])
 
 
+def has_pass(digits):
+    """Whether the pass for the digits is cached: reading it is a hit.  A
+    hit moves the pass to the back, as any use of it does."""
+    hits = _zeta_pass.cache_info().hits
+    _zeta_pass(digits)
+    return _zeta_pass.cache_info().hits > hits
+
+
 def test_zeta_pass_cache_keeps_the_last_four_digits_values():
     # an API caller looping over digits keeps at most four passes alive,
     # and an evicted pass is rebuilt to the same values
-    assert ZETA_PASSES_KEPT == 4
-    _zeta_passes.clear()
+    assert ZETA_PASSES_KEPT == 4 == _zeta_pass.cache_info().maxsize
+    _zeta_pass.cache_clear()
     ctxs = [PrecisionContext(working_digits=d) for d in range(20, 40)]
     first = [(zeta_value(3, c), zeta_value(7, c)) for c in ctxs]
-    assert list(_zeta_passes) == [36, 37, 38, 39]
+    assert _zeta_pass.cache_info().currsize == 4
+    assert all(has_pass(d) for d in (36, 37, 38, 39))
     zeta_value(2, ctxs[-4])  # a hit moves its pass to the back
     zeta_value(2, PrecisionContext(working_digits=60))
-    assert list(_zeta_passes) == [38, 39, 36, 60]
+    # 37 is now the least recent and was evicted; probed in LRU order,
+    # each hit leaves the order as it was
+    assert all(has_pass(d) for d in (38, 39, 36, 60))
+    assert _zeta_pass.cache_info().currsize == 4
     again = [(zeta_value(3, c), zeta_value(7, c)) for c in ctxs]
-    assert again == first and len(_zeta_passes) == 4
-    _zeta_passes.clear()
+    assert again == first and _zeta_pass.cache_info().currsize == 4
+    _zeta_pass.cache_clear()
     assert [(zeta_value(3, c), zeta_value(7, c)) for c in ctxs[:2]] == \
         first[:2]
 
@@ -105,9 +117,9 @@ def test_zeta_pass_cache_keeps_the_last_four_digits_values():
 def test_zeta_value_is_thread_safe():
     ctxs = [PrecisionContext(working_digits=30),
             PrecisionContext(working_digits=200)]
-    _zeta_passes.clear()
+    _zeta_pass.cache_clear()
     serial = [[zeta_value(s, c) for s in range(2, 60)] for c in ctxs]
-    _zeta_passes.clear()
+    _zeta_pass.cache_clear()
     prec = mpmath.mp.prec
     got = [None, None]
     barrier = threading.Barrier(2, timeout=60)
@@ -131,6 +143,36 @@ def test_zeta_value_is_thread_safe():
     assert mpmath.mp.prec == prec
 
 
+def test_threads_missing_on_the_same_digits_build_one_pass(monkeypatch):
+    # a slow build keeps the other threads waiting on the lock, so at most
+    # one pass (about 120 MB near MAX_DIGITS) is being built at a time
+    size = zeta._borwein_size
+
+    def slow_size(digits):
+        threading.Event().wait(0.05)
+        return size(digits)
+
+    monkeypatch.setattr(zeta, "_borwein_size", slow_size)
+    _zeta_pass.cache_clear()
+    ctx = PrecisionContext(working_digits=41)
+    got = [None] * 4
+    barrier = threading.Barrier(4, timeout=60)
+
+    def work(i):
+        barrier.wait()
+        got[i] = zeta_value(5, ctx)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert _zeta_pass.cache_info().misses == 1
+    assert got == [got[0]] * 4
+    _zeta_pass.cache_clear()
+
+
 def test_verification_is_thread_safe():
     # two threads verify at 30 and 200 digits at once, from cold zeta
     # caches; each must get the records of a serial run
@@ -148,7 +190,7 @@ def test_verification_is_thread_safe():
     sys.setswitchinterval(1e-6)
     try:
         for trial in range(20):
-            _zeta_passes.clear()
+            _zeta_pass.cache_clear()
             got = [None, None]
             barrier = threading.Barrier(2, timeout=60)
 
@@ -196,9 +238,10 @@ def test_zeta_value_validation():
     # 1.6M digits is far past the digits ceiling, which refuses before any
     # pass is built
     huge = PrecisionContext(working_digits=1_600_000)
+    before = _zeta_pass.cache_info()
     with pytest.raises(PrecisionUnachievable):
         zeta_value(2, huge)
-    assert 1_600_000 not in _zeta_passes
+    assert _zeta_pass.cache_info() == before
 
 
 class PassBuilt(Exception):
@@ -209,12 +252,16 @@ def test_digits_ceiling_refuses_before_any_pass_is_built(monkeypatch):
     def refuse(n, B):
         raise PassBuilt(n, B)
     monkeypatch.setattr(zeta, "_BorweinPass", refuse)
-    with pytest.raises(PrecisionUnachievable, match="ceiling"):
+    before = _zeta_pass.cache_info()
+    with pytest.raises(PrecisionUnachievable, match=r"ceiling .* zeta\(2\)"):
         zeta_value(2, PrecisionContext(working_digits=MAX_DIGITS + 1))
+    assert _zeta_pass.cache_info() == before  # not even looked up
     # the ceiling itself is allowed: its pass would be built
     with pytest.raises(PassBuilt):
         zeta_value(2, PrecisionContext(working_digits=MAX_DIGITS))
-    assert not {MAX_DIGITS, MAX_DIGITS + 1} & set(_zeta_passes)
+    after = _zeta_pass.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses + 1
 
 
 def test_n_tilde_examples():
@@ -452,6 +499,21 @@ def test_entry22_oracle_values():
         entry22_check(1)
 
 
+def test_direct_sum_refuses_past_its_ceiling(monkeypatch):
+    # k = 2 sums the least M with M^3 >= 4 / (3 tol): M = 1000 at
+    # 1.3334e-9 and 1001 at 1.3333e-9, so a ceiling of 1000 terms takes the
+    # one and refuses the other before it sums
+    monkeypatch.setattr(zeta, "MAX_DIRECT_TERMS", 1000)
+    rec = entry22_check(2, PrecisionContext(verify_tolerance=1.3334e-9))
+    partial = [Fraction(0)]
+    for n in range(1, 1002):
+        partial.append(partial[-1] + Fraction(1, (n * (n + 1)) ** 2))
+    assert rec.passed
+    assert abs(rec.lhs_numeric - partial[1000]) < Fraction(1, 1001 ** 4) / 2
+    with pytest.raises(PrecisionUnachievable, match="more than 1000 terms"):
+        entry22_check(2, PrecisionContext(verify_tolerance=1.3333e-9))
+
+
 def test_finite_form_verifies_on_corpus(classes_upto_6):
     ctx = PrecisionContext(working_digits=30, verify_tolerance=1e-10)
     for size in range(7):
@@ -518,19 +580,29 @@ def test_integer_sums_match_the_fraction_referee_on_named_records():
 
 
 def test_series_cap_matches_the_fraction_referee():
+    def agree(M, D, tol, cap):
+        try:
+            got = _choose_series_cap(M, D, tol, cap)
+        except PrecisionUnachievable as exc:
+            with pytest.raises(PrecisionUnachievable,
+                               match=re.escape(str(exc))):
+                fraction_series_cap(M, D, tol, cap)
+        else:
+            assert got == fraction_series_cap(M, D, tol, cap)
+
     for M in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(22, 21),
               Fraction(13), Fraction(5040), Fraction(10 ** 9, 7)):
         for D in (0, 1, 2, 3, 5, 8, 12):
             for tol in (1e-3, 1e-10, 1e-12, 1e-15, 1e-40):
                 for cap in (10, 40, 4000):
-                    try:
-                        got = _choose_series_cap(M, D, tol, cap)
-                    except PrecisionUnachievable as exc:
-                        with pytest.raises(PrecisionUnachievable,
-                                           match=re.escape(str(exc))):
-                            fraction_series_cap(M, D, tol, cap)
-                    else:
-                        assert got == fraction_series_cap(M, D, tol, cap)
+                    agree(M, D, tol, cap)
+    # large D: the first majorants lie past float range, and A95's N is
+    # found past them
+    a95 = Fraction(sum(d_vector(antichain(95), 95).d))
+    assert _choose_series_cap(a95, 95, 1e-12, 4000)[0] > 2 * 95 + 2
+    for M, D in ((a95, 95), (Fraction(1), 200), (Fraction(10 ** 300), 60)):
+        for tol in (1e-12, 1e300, 1.7e308):
+            agree(M, D, tol, 4000)
     # the cramped context of test_verify_fails_loudly_when_unachievable
     with pytest.raises(PrecisionUnachievable):
         _choose_series_cap(Fraction(1), 0, 1e-12, 10)
