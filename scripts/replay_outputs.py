@@ -66,11 +66,13 @@ COMMANDS = [
     ["--tolerance", "1e-300", "zeta-identity", "A2"],
 ]
 
-# past float range, past a ceiling or past Python's int-str limit: each
-# ends in a documented exit code within seconds
+# past float range (a tail, or a bound to print), past a ceiling or past
+# Python's int-str limit: each ends in a documented exit code within seconds
 LIMITS = [
     ["--guard", "90", "zeta-identity", "A90"],
     ["--guard", "95", "zeta-identity", "A95"],
+    ["--digits", "1", "--guard", "100", "zeta-identity", "A100"],
+    ["--guard", "150", "--term-cap", "100000", "zeta-identity", "A150"],
     ["--digits", "400", "--tolerance", "1e-320", "verify-suite"],
     ["--tolerance", "1e-26", "verify-suite"],
     ["--guard", "2000", "poly", "A2000"],

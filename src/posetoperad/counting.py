@@ -118,7 +118,8 @@ def substitute_coeffs(P, slots):
     out = _strict_coeffs(P._below, decompose(P), [
         {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
         for vec, d in zip(slots, dens)])
-    return {m: Fraction(c, prod(dens)) for m, c in out.items()}
+    den = prod(dens)
+    return {m: c if den == 1 else Fraction(c, den) for m, c in out.items()}
 
 
 def count_maps(P, n, mode="strict", guard=DEFAULT_GUARD):

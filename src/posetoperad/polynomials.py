@@ -12,7 +12,10 @@ The Hadamard and ordinal products of strict coefficient maps
 (``cup_coeffs``, ``ordinal_coeffs``) live here too, so that the d-vector
 engine in ``counting`` and the order series in ``series`` share one copy.
 
-Everything here is exact rational arithmetic; no floats, and no memo.
+Everything here is exact rational arithmetic; no floats, and no memo.  A
+coefficient is an ``int`` when it is integral and a ``Fraction`` otherwise,
+so integer vectors, every poset's among them, stay in integer arithmetic;
+divide a coefficient with ``Fraction``, as ``int / int`` is a float.
 """
 
 from __future__ import annotations
@@ -24,8 +27,18 @@ from math import comb, factorial
 from .errors import IndexOutOfRange, ModeMismatch
 
 
+def _exact(v):
+    """v as an int when it is integral, else as a Fraction."""
+    if type(v) is not int:
+        v = Fraction(v)
+        if v.denominator == 1:
+            return v.numerator
+    return v
+
+
 def binomial(x, k):
-    """C(x, k) as an exact rational, for integer or rational x.
+    """C(x, k) as an exact rational, for integer or rational x: an int
+    when x is an integer.
 
     Defined via the falling factorial, so C(q, p) = 0 for integers
     0 <= q < p, and negative or fractional upper arguments work; the
@@ -35,10 +48,10 @@ def binomial(x, k):
         raise ValueError(f"binomial needs an integer k, got {k!r}")
     k = int(k)
     if k < 0:
-        return Fraction(0)
-    if isinstance(x, int) and x >= 0:
-        return Fraction(comb(x, k))
-    x = Fraction(x)
+        return 0
+    x = _exact(x)
+    if type(x) is int:  # C(-y, k) = (-1)^k C(y + k - 1, k)
+        return comb(x, k) if x >= 0 else (-1) ** k * comb(k - x - 1, k)
     num = Fraction(1)
     for t in range(k):
         num *= x - t
@@ -47,17 +60,15 @@ def binomial(x, k):
 
 def multiset_coeff(x, k):
     """((x, k)) = C(x + k - 1, k), the multiset-choose coefficient."""
-    if isinstance(x, int):
-        return binomial(x + k - 1, k)
-    return binomial(Fraction(x) + k - 1, k)
+    return binomial(_exact(x) + k - 1, k)
 
 
 def clean_coeffs(coeffs):
-    """{index: value} with int keys and nonzero Fraction values; a negative
-    index names no basis element and raises IndexOutOfRange."""
+    """{index: value} with int keys and nonzero exact values (``_exact``); a
+    negative index names no basis element and raises IndexOutOfRange."""
     out = {}
     for i, v in (coeffs or {}).items():
-        i, v = int(i), Fraction(v)
+        i, v = int(i), _exact(v)
         if i < 0:
             raise IndexOutOfRange(f"basis index {i} < 0")
         if v:
@@ -85,7 +96,8 @@ def render_sum(terms, sep="*"):
 class SparseVec:
     """Immutable finitely supported vector of exact rationals over one basis.
 
-    ``coeffs`` maps basis index to a nonzero Fraction.  Subclasses name the
+    ``coeffs`` maps basis index to a nonzero int or Fraction, an int when
+    integral.  Subclasses name the
     basis through ``basis`` (the tag compared by ==, hash, + and -) and
     build same-basis results through ``_like``.
     """
@@ -99,7 +111,7 @@ class SparseVec:
         return type(self)(coeffs)
 
     def coeff(self, i):
-        return self.coeffs.get(i, Fraction(0))
+        return self.coeffs.get(i, 0)
 
     def max_index(self):
         return max(self.coeffs, default=0)
@@ -124,7 +136,7 @@ class SparseVec:
         return self + other.scale(-1)
 
     def scale(self, r):
-        r = Fraction(r)
+        r = _exact(r)
         return self._like({i: v * r for i, v in self.coeffs.items()})
 
     def _render(self, base, sep="*"):
@@ -155,11 +167,9 @@ class BinomialPoly(SparseVec):
 
     def eval(self, x, mode="binomial"):
         if mode == "binomial":
-            return sum((v * binomial(x, i) for i, v in self.coeffs.items()),
-                       Fraction(0))
+            return sum(v * binomial(x, i) for i, v in self.coeffs.items())
         if mode == "multiset":
-            return sum((v * multiset_coeff(x, i) for i, v in self.coeffs.items()),
-                       Fraction(0))
+            return sum(v * multiset_coeff(x, i) for i, v in self.coeffs.items())
         raise ValueError(f"unknown eval mode {mode!r}")
 
     def to_monomial(self, mode="binomial"):
@@ -186,8 +196,8 @@ class MonomialPoly(SparseVec):
         return MonomialPoly(ordinal_coeffs(self.coeffs, other.coeffs))
 
     def eval(self, x):
-        x = Fraction(x)
-        return sum((v * x ** i for i, v in self.coeffs.items()), Fraction(0))
+        x = _exact(x)
+        return sum(v * x ** i for i, v in self.coeffs.items())
 
     def neg_x(self):
         """p(-x)."""

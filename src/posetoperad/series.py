@@ -53,10 +53,9 @@ class SeriesVec(SparseVec):
         Z_i = x^i/(1-x)^(i+1), Z+_i = x/(1-x)^(i+1)."""
         x = Fraction(x)
         if self.mode == STRICT:
-            return sum((c * x ** i / (1 - x) ** (i + 1)
-                        for i, c in self.coeffs.items()), Fraction(0))
-        return sum((c * x / (1 - x) ** (i + 1)
-                    for i, c in self.coeffs.items()), Fraction(0))
+            return sum(c * x ** i / (1 - x) ** (i + 1)
+                       for i, c in self.coeffs.items())
+        return sum(c * x / (1 - x) ** (i + 1) for i, c in self.coeffs.items())
 
     def render(self):
         sym = "Z" if self.mode == STRICT else "Z+"

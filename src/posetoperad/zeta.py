@@ -19,6 +19,8 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 from .counting import DEFAULT_GUARD, count_maps, order_polynomial
 from .errors import (MAX_DIGITS, MAX_DIRECT_TERMS, ArityMismatch,
@@ -93,15 +95,29 @@ def _fixed(x, B):
     return (x.numerator << B) // x.denominator
 
 
-def _mantissa(x, B):
-    """The integer x 2^B for a Dyadic x that is a multiple of 2^-B (a
-    Dyadic is stored reduced, so its denominator is at most 2^B)."""
-    return x.numerator << (B - x.denominator.bit_length() + 1)
-
-
 def _float_up(x):
     """A float >= the nonnegative rational x, never 0."""
     return math.nextafter(float(x), math.inf)
+
+
+def _sci_up(x):
+    """The nonnegative rational x in the form ``%.3e``, rounded up: through
+    a float while x fits one, and past float range read off x in integers,
+    four digits rounded up, so no bound is too large to print."""
+    try:
+        return f"{_float_up(x):.3e}"
+    except OverflowError:
+        pass
+    num, den = x.numerator, x.denominator
+    e = int((num.bit_length() - den.bit_length()) * math.log10(2))
+    while num >= den * 10 ** (e + 1):
+        e += 1
+    while num < den * 10 ** e:
+        e -= 1
+    digits = -(-num * 1000 // (den * 10 ** e))
+    if digits == 10000:
+        digits, e = 1000, e + 1
+    return f"{digits // 1000}.{digits % 1000:03d}e+{e}"
 
 
 def _dps_to_prec(digits):
@@ -144,9 +160,11 @@ class _BorweinPass:
     floor.  The terms of s + 1 are those of s divided by k + 1: for positive
     integers floor(floor(x/a)/b) = floor(x/(ab)), so each s gets the same
     integers as a pass of its own, from one big division per k in all.  The
-    bound, one Dyadic for all s, is the truncation 2 * 3/(3+sqrt 8)^n, the 2
-    covering 1/(1 - 2^(1-s)) for s >= 2, rounded up to ulps, plus 2n + 1 ulps:
-    the n term floors, doubled by the same factor, and the division's own.
+    pass keeps one integer per s, floor(zeta(s) 2^B).  The bound, the same
+    for all s and kept in ulps of 2^-B, is the truncation 2 * 3/(3+sqrt 8)^n,
+    the 2 covering 1/(1 - 2^(1-s)) for s >= 2, rounded up to ulps, plus
+    2n + 1 ulps: the n term floors, doubled by the same factor, and the
+    division's own.
     """
 
     def __init__(self, n, B):
@@ -154,20 +172,20 @@ class _BorweinPass:
         self.one = 1 << B
         self.terms = [(w << B) // (dn * (k + 1))  # s = 1
                       for k, w in enumerate(weights)]
-        self.values = []  # (zeta(s) - 1, zeta(s)) at index s - 2
+        self.values = []  # floor(zeta(s) 2^B) at index s - 2
         # 3 + sqrt 8 > 1457/250
         truncation = -(-(6 * 250 ** n << B) // 1457 ** n)
-        self.bound = Dyadic(truncation + 2 * n + 1, self.one)
+        self.ulps = truncation + 2 * n + 1
 
     def extend(self, s):
-        one, terms = self.one, self.terms
+        terms = self.terms
         for s_next in range(len(self.values) + 2, s + 1):
             terms = [t // (k + 1) for k, t in enumerate(terms)]
             while terms and not terms[-1]:  # terms fall with k; zeros stay
                 terms.pop()
             half = 1 << (s_next - 1)
-            z = (sum(terms[::2]) - sum(terms[1::2])) * half // (half - 1)
-            self.values.append((Dyadic(z - one, one), Dyadic(z, one)))
+            self.values.append(
+                (sum(terms[::2]) - sum(terms[1::2])) * half // (half - 1))
         self.terms = terms
 
 
@@ -193,8 +211,20 @@ def zeta_value(s, ctx=DEFAULT_CTX, minus_one=False):
     with _zeta_lock:
         zp = _zeta_pass(ctx.working_digits)
         zp.extend(s)
-        minus, plain = zp.values[s - 2]
-    return (minus if minus_one else plain), zp.bound
+        z, one = zp.values[s - 2], zp.one
+    return Dyadic(z - one if minus_one else z, one), Dyadic(zp.ulps, one)
+
+
+def _zeta_integers(first, last, ctx):
+    """(floor(zeta(s) 2^B) for s = first..last, the bound in ulps of 2^-B),
+    B the pass's bits.  One zeta_value(last) call, by its module-level name,
+    which perfbench's tracer wraps, checks the digits and extends the pass;
+    the integers are then read under the lock once."""
+    zeta_value(last, ctx)
+    with _zeta_lock:
+        zp = _zeta_pass(ctx.working_digits)
+        zp.extend(last)  # a no-op unless another thread evicted the pass
+        return zp.values[first - 2:last - 1], zp.ulps
 
 
 def nstr(x, n):
@@ -274,8 +304,8 @@ class ZetaExpr(SparseVec):
     def shifted_constant(self):
         """Leftover rational when the expression is written over the shifted
         basis zeta(k+1) - 1 - 2^-(k+1) with the same coefficients."""
-        extra = sum((v * (1 + Fraction(1, 2 ** (k + 1)))
-                     for k, v in self.zeta_terms()), Fraction(0))
+        extra = sum(v * (1 + Fraction(1, 2 ** (k + 1)))
+                    for k, v in self.zeta_terms())
         return self.constant + extra
 
     def render(self, style="plain"):
@@ -306,10 +336,11 @@ class ZetaExpr(SparseVec):
         total = _fixed(self.constant, B)
         L = math.lcm(*(v.denominator for _, v in terms))
         ulps = (len(terms) + 1) * L
-        for k, v in terms:
-            zv, zb = zeta_value(k + 1, ctx)
-            total += v.numerator * _mantissa(zv, B) // v.denominator
-            ulps += abs(v.numerator) * (L // v.denominator) * _mantissa(zb, B)
+        if terms:
+            zetas, zb = _zeta_integers(2, terms[-1][0] + 1, ctx)
+            for k, v in terms:
+                total += v.numerator * zetas[k - 1] // v.denominator
+                ulps += abs(v.numerator) * (L // v.denominator) * zb
         return Dyadic(total, 1 << B), Fraction(ulps, L << B)
 
     def to_json_dict(self):
@@ -331,7 +362,7 @@ def n_tilde2(p):
     Image of p under the alternating sum of p(k)(zeta(k+1)-1); the rational
     shifts are folded into the constant so the result stays exact.
     """
-    out = {0: p.coeff(0) / 2}
+    out = {0: Fraction(p.coeff(0), 2)}
     for i, v in p.coeffs.items():
         if i:
             out[i] = signed = (-1) ** (i + 1) * v
@@ -421,10 +452,26 @@ def _verdict(lhs, rhs, bound, ctx):
     raises, and PASS is |lhs - rhs| <= bound + tolerance."""
     if bound > ctx.verify_tolerance:
         raise PrecisionUnachievable(
-            f"error bound {_float_up(bound):.3e} exceeds tolerance "
+            f"error bound {_sci_up(bound)} exceeds tolerance "
             f"{ctx.verify_tolerance:.3e}; raise the working digits")
     return (_float_up(bound),
             abs(lhs - rhs) <= bound + Fraction(ctx.verify_tolerance))
+
+
+def _forward_values(coeffs, start, count):
+    """[q(start), ..., q(start + count - 1)] for q(k) = sum_i c_i C(k, i),
+    coeffs = {i: c_i}, by forward differences and no binomial per term:
+    Delta^j q(start) = sum_i c_i C(start, i - j), Delta^D q is constant,
+    and each order's values are the running sums of the next order's."""
+    if count <= 0:
+        return []
+    D = max(coeffs, default=0)
+    diffs = [sum(c * math.comb(start, i - j) for i, c in coeffs.items()
+                 if i >= j) for j in range(D + 1)]
+    values = [diffs[D]] * count
+    for j in range(D - 1, -1, -1):
+        values = list(accumulate(values[:-1], initial=diffs[j]))
+    return values
 
 
 def verify_identity(rec, ctx=DEFAULT_CTX):
@@ -435,41 +482,44 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
     bound plus the tolerance; a bound above the tolerance raises.
 
     The sum runs in integers.  With L the lcm of the polynomial's
-    denominators (1 for every record the package builds), L p(k) = q is an
-    integer sum of C(k, i) times integer coefficients, and zeta(k+1) - 1
-    is man / 2^B, so each term adds floor(+-q man / L), which for L = 1
-    is exact.  One floor per nonzero term is still counted, so the floor
-    count in the bound is an upper bound.  The bound, tail + (sum |q| / L)
-    zb + RHS bound + floors 2^-B, is exact until the record rounds it up.
+    denominators (1 for every record the package builds), L p(k) = q_k is
+    an integer, stepped by forward differences (``_forward_values``), and
+    zeta(k+1) - 1 is man_k / 2^B, the pass's integers read once, so each
+    term adds floor(+-q_k man_k / L): for L = 1 the whole sum is exact and
+    is one sum of products.  One floor per nonzero term is still counted,
+    so the floor count in the bound is an upper bound.  The bound,
+    tail + (sum |q_k| / L) zb + RHS bound + floors 2^-B, is exact until the
+    record rounds it up.
     """
     if rec.lhs_poly is None:
         raise ValueError("record carries no summable polynomial")
     poly = rec.lhs_poly
     D = poly.max_index()
     L = math.lcm(*(v.denominator for v in poly.coeffs.values()))
-    coeffs = [(i, v.numerator * (L // v.denominator))
-              for i, v in poly.coeffs.items()]
-    M = Fraction(sum(abs(c) for _, c in coeffs), L)
+    coeffs = {i: v.numerator * (L // v.denominator)
+              for i, v in poly.coeffs.items()}
+    M = Fraction(sum(map(abs, coeffs.values())), L)
     if not rec.alternating and D > 0:
         raise DivergentParameter(
             "non-alternating zeta-shift series need a constant polynomial")
+    start = rec.start_index
+    if start < 0 or start == 0 and coeffs.get(0):
+        raise ValueError("the LHS terms start at k >= 1: zeta(1) diverges")
+    start = max(start, 1)
     N, tail = _choose_series_cap(M, D, ctx.verify_tolerance, ctx.series_term_cap)
     B = _borwein_size(ctx.working_digits)[1]
-    total = floors = weight = zb = 0
-    for k in range(rec.start_index, N + 1):
-        q = sum(c * math.comb(k, i) for i, c in coeffs)
-        if q == 0:
-            continue
-        # by its module-level name, which perfbench's tracer wraps
-        zv, zb = zeta_value(k + 1, ctx, minus_one=True)
-        if rec.alternating and k % 2 == 0:
-            q = -q
-        total += q * _mantissa(zv, B) // L
-        floors += 1
-        weight += abs(q)
-    lhs_val = Dyadic(total, 1 << B)
+    zetas, zb = _zeta_integers(start + 1, N + 1, ctx)
+    one = 1 << B
+    q = _forward_values(coeffs, start, N - start + 1)
+    if rec.alternating:  # (-1)^(k+1): the terms at even k subtract
+        q[start % 2::2] = [-qk for qk in q[start % 2::2]]
+    if L == 1:  # sum q_k (z_k - 2^B), exact
+        total = sum(map(mul, q, zetas)) - sum(q) * one
+    else:
+        total = sum(qk * (z - one) // L for qk, z in zip(q, zetas))
+    lhs_val = Dyadic(total, one)
     rhs_val, rhs_bound = rec.rhs.eval_numeric(ctx)
-    ulps = weight * _mantissa(zb, B) + floors * L
+    ulps = sum(map(abs, q)) * zb + (len(q) - q.count(0)) * L
     bound, passed = _verdict(lhs_val, rhs_val,
                              tail + Fraction(ulps, L << B) + rhs_bound, ctx)
     return rec._replace(lhs_numeric=lhs_val, rhs_numeric=rhs_val,
@@ -536,7 +586,7 @@ def binomial_shift_record(k):
 def _inverse_square_partial_fractions(k):
     """Exact decomposition of 1/(n^k (n+1)^k) into a_i/n^i + b_i/(n+1)^i."""
     a = {i: binomial(-k, k - i) for i in range(1, k + 1)}
-    b = {k - m: Fraction(-1) ** k * binomial(k + m - 1, m) for m in range(k)}
+    b = {k - m: (-1) ** k * binomial(k + m - 1, m) for m in range(k)}
     if a[1] != -b[1]:
         raise PosetOperadError("telescoping part must cancel")
     return a, b
@@ -554,7 +604,7 @@ def entry22_oracle(k):
 def entry22_formula(k):
     """The printed closed form: sum over n of (1+(-1)^(k-n)) zeta(k-n) C(-k,n),
     with n = k-1 skipped and the convention zeta(0) = -1/2."""
-    constant = Fraction(0)
+    constant = 0
     coeffs = {}
     for n in range(k + 1):
         if n == k - 1:
@@ -566,7 +616,7 @@ def entry22_formula(k):
         if s == 0:
             constant += weight * Fraction(-1, 2)
         else:
-            coeffs[s - 1] = coeffs.get(s - 1, Fraction(0)) + weight
+            coeffs[s - 1] = coeffs.get(s - 1, 0) + weight
     return ZetaExpr.make(constant, coeffs)
 
 

@@ -6,8 +6,8 @@ instances.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
-from math import comb, factorial
+from itertools import chain as chained, permutations, product
+from math import comb, factorial, lcm
 
 from posetoperad import zeta
 from posetoperad.catalog import _extensions, poset_from_masks
@@ -325,7 +325,7 @@ def labeled_masks(n):
         yield ()
         return
     for down in labeled_masks(n - 1):
-        yield from _extensions(poset_from_masks(down))
+        yield from (below for below, _ in _extensions(poset_from_masks(down)))
 
 
 class NestedSumReport(Record):
@@ -415,3 +415,81 @@ def fraction_verify_identity(rec, ctx):
     return rec._replace(lhs_numeric=lhs_val, rhs_numeric=rhs_val,
                         error_bound=bound, passed=passed,
                         notes=rec.notes + (f"lhs summed to k={N}",))
+
+
+def comb_verify_identity(rec, ctx):
+    """verify_identity term by term: q = sum_i c_i C(k, i) by math.comb at
+    each k, one zeta_value call and one floor per nonzero term, and the
+    weight sum |q| and the floor count summed as the terms go."""
+    if rec.lhs_poly is None:
+        raise ValueError("record carries no summable polynomial")
+    poly = rec.lhs_poly
+    D = poly.max_index()
+    L = lcm(*(v.denominator for v in poly.coeffs.values()))
+    coeffs = [(i, v.numerator * (L // v.denominator))
+              for i, v in poly.coeffs.items()]
+    M = Fraction(sum(abs(c) for _, c in coeffs), L)
+    if not rec.alternating and D > 0:
+        raise DivergentParameter(
+            "non-alternating zeta-shift series need a constant polynomial")
+    N, tail = zeta._choose_series_cap(M, D, ctx.verify_tolerance,
+                                      ctx.series_term_cap)
+    B = zeta._borwein_size(ctx.working_digits)[1]
+    total = floors = weight = zb = 0
+    for k in range(rec.start_index, N + 1):
+        q = sum(c * comb(k, i) for i, c in coeffs)
+        if q == 0:
+            continue
+        zv, zb = zeta.zeta_value(k + 1, ctx, minus_one=True)
+        if rec.alternating and k % 2 == 0:
+            q = -q
+        total += q * zeta._fixed(zv, B) // L
+        floors += 1
+        weight += abs(q)
+    lhs_val = zeta.Dyadic(total, 1 << B)
+    rhs_val, rhs_bound = fraction_eval_numeric(rec.rhs, ctx)
+    ulps = weight * zeta._fixed(zb, B) + floors * L
+    bound, passed = zeta._verdict(
+        lhs_val, rhs_val, tail + Fraction(ulps, L << B) + rhs_bound, ctx)
+    return rec._replace(lhs_numeric=lhs_val, rhs_numeric=rhs_val,
+                        error_bound=bound, passed=passed,
+                        notes=rec.notes + (f"lhs summed to k={N}",))
+
+
+def _color_refinement(below, above):
+    n = len(below)
+    colors = [(below[i].bit_count(), above[i].bit_count()) for i in range(n)]
+    for _ in range(n):
+        keys = [(colors[i],
+                 tuple(sorted(colors[j] for j in range(n)
+                              if below[i] >> j & 1)),
+                 tuple(sorted(colors[j] for j in range(n)
+                              if above[i] >> j & 1)))
+                for i in range(n)]
+        ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
+        new = [ranks[k] for k in keys]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def refined_search_key(P):
+    """canonical_key by its definition: the least sorted relation tuple over
+    every permutation inside the color refinement classes, twins and all."""
+    n = len(P)
+    below = [P.below_mask(i) for i in range(n)]
+    above = [P.above_mask(i) for i in range(n)]
+    pairs = list(P.index_pairs())
+    classes = {}
+    for i, c in enumerate(_color_refinement(below, above)):
+        classes.setdefault(c, []).append(i)
+    pos = [0] * n
+    best = None
+    for parts in product(*(permutations(classes[c]) for c in sorted(classes))):
+        for t, old in enumerate(chained(*parts)):
+            pos[old] = t
+        key = tuple(sorted((pos[a], pos[b]) for a, b in pairs))
+        if best is None or key < best:
+            best = key
+    return (n, best)

@@ -1,13 +1,16 @@
 import hashlib
 import random
 
-from posetoperad.catalog import (canonical_key, is_series_parallel,
-                                 iso_classes, poset_from_masks)
+from posetoperad.catalog import (_certificate, _extensions, canonical_key,
+                                 is_series_parallel, iso_classes,
+                                 poset_from_masks)
+from posetoperad.poset import _bits
 from posetoperad.counting import d_vector
 from posetoperad.poset import antichain, chain, ordinal_sum
 from posetoperad.series import zigzag_poset
 
-from oracles import has_induced_zigzag, labeled_masks, poset_from_relation
+from oracles import (has_induced_zigzag, labeled_masks, poset_from_relation,
+                     refined_search_key)
 
 LABELED_COUNTS = [1, 1, 3, 19, 219, 4231]
 ISO_COUNTS = [1, 1, 2, 5, 16, 63, 318]
@@ -61,6 +64,37 @@ def test_catalogue_pinned_by_hash():
             h.update(repr((P.elements, P._below, canonical_key(P))).encode())
     assert h.hexdigest() == (
         "e9f74f119dbd49c173c70ab2f6c74c328a22bc640f669a9f4945520345690540")
+
+
+def test_catalogue_of_seven_pinned_by_hash():
+    # the same for up to 7 elements, at the value the catalogue had when
+    # every extension was keyed by canonical_key
+    h = hashlib.sha256()
+    for n in range(8):
+        for P in iso_classes(n):
+            h.update(repr((P.elements, P._below, canonical_key(P))).encode())
+    assert h.hexdigest() == (
+        "c41bbd730a7477f72c3bdf60bcaae8ae244e4690f07731498ac6fc4442ea8f15")
+
+
+def test_certificate_and_key_split_every_extension_alike():
+    # every one-element extension of the classes of up to 5 elements, in
+    # its generated labeling: the certificate and canonical_key make the
+    # same classes, and the key is the refined search's
+    for n in range(1, 7):
+        elements_of = [tuple(_bits(m)) for m in range(1 << n)].__getitem__
+        certs, keys = {}, {}
+        for P in iso_classes(n - 1):
+            for below, above in _extensions(P):
+                Q = poset_from_masks(below)
+                cert, key = _certificate(below, above, elements_of), \
+                    canonical_key(Q)
+                assert key == refined_search_key(Q), Q
+                certs.setdefault(cert, set()).add(key)
+                keys.setdefault(key, set()).add(cert)
+        assert all(len(v) == 1 for v in certs.values())
+        assert all(len(v) == 1 for v in keys.values())
+        assert len(keys) == ISO_COUNTS[n]
 
 
 def test_series_parallel_families():

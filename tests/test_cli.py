@@ -144,21 +144,25 @@ INT_STR_LIMIT = ("error: a number of more than 4300 digits cannot be read "
                  "or printed")
 
 
-# a tail past float range, a --guard over its ceiling, and results past
-# Python's int-str digit limit
+# a tail past float range, bounds past it, a --guard over its ceiling, and
+# results past Python's int-str digit limit
 @pytest.mark.parametrize("argv, want, message", [
     (["--guard", "90", "zeta-identity", "A90"], EXIT_FAIL,
      "error: error bound 1.269e+231 exceeds tolerance"),
     (["--guard", "95", "zeta-identity", "A95"], EXIT_FAIL,
      "error: error bound 5.142e+249 exceeds tolerance"),
+    (["--digits", "1", "--guard", "100", "zeta-identity", "A100"], EXIT_FAIL,
+     "error: error bound 1.009e+317 exceeds tolerance"),
+    (["--guard", "150", "--term-cap", "100000", "zeta-identity", "A150"],
+     EXIT_FAIL, "error: error bound 7.549e+457 exceeds tolerance"),
     (["--guard", "2000", "poly", "A2000"], EXIT_USAGE,
      "error: argument --guard: need at most 500 elements, got '2000'"),
     (["--guard", "1000", "series", "A1000", "--weak"], EXIT_USAGE,
      "error: argument --guard: need at most 500 elements, got '1000'"),
     (["eval", "C2", "--at", "9" * 3000], EXIT_USAGE, INT_STR_LIMIT),
     (["inverse-sum", "A3", "--r", "7" * 1500], EXIT_USAGE, INT_STR_LIMIT),
-], ids=["A90-bound", "A95-tail", "guard-2000", "guard-1000", "eval-digits",
-        "inverse-sum-digits"])
+], ids=["A90-bound", "A95-tail", "A100-past-float", "A150-past-float",
+        "guard-2000", "guard-1000", "eval-digits", "inverse-sum-digits"])
 def test_inputs_past_a_limit_end_in_their_exit_code(capsys, argv, want,
                                                     message):
     start = time.perf_counter()

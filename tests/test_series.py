@@ -452,3 +452,39 @@ def test_fig2_rows_complete(classes_upto_4):
         assert got == expected, expr
         vectors[frozenset(expected.items())] = True
     assert len(vectors) == 7
+
+
+def assert_exact(values, where):
+    # an int when integral, a Fraction otherwise, never a float
+    for v in values:
+        assert type(v) in (int, Fraction), (where, v)
+        assert (type(v) is int) == (v.denominator == 1), (where, v)
+
+
+def test_coefficients_are_ints_when_integral(classes_upto_5):
+    from posetoperad.counting import order_polynomial
+    from posetoperad.zeta import n_tilde2
+    posets = [P for n in range(6) for P in classes_upto_5[n]]
+    small = [series_of(P) for P in posets if len(P) <= 2]
+    for P in posets:
+        for mode in ("strict", "weak"):
+            poly = order_polynomial(P, mode)
+            assert_exact(poly.coeffs.values(), (P, mode))
+            S = series_of(P, mode)
+            assert_exact(S.coeffs.values(), (P, mode))
+            assert_exact(closed_form(S).numerator, (P, mode))
+        S = series_of(P)
+        assert_exact(n_tilde2(order_polynomial(P)).coeffs.values(), P)
+        for T in small:
+            assert_exact(hadamard(S, T).coeffs.values(), (P, T))
+            assert_exact(ordinal_mul(S, T).coeffs.values(), (P, T))
+        if len(P) <= 3:
+            args = [series_of(Q) for Q in posets[:len(P)]]
+            assert_exact(operad_eval_series(P, args).coeffs.values(), P)
+    # a rational slot keeps its fractions, and an integral product drops
+    # them
+    half = SeriesVec("strict", {1: Fraction(1, 2)})
+    assert_exact(operad_eval_series(chain(2), [half, half]).coeffs.values(),
+                 "halves")
+    assert_exact(half.scale(2).coeffs.values(), "doubled")
+    assert half.scale(2).coeffs == {1: 1}

@@ -27,7 +27,8 @@ from posetoperad.zeta import (DEFAULT_CTX, IdentityRecord, PrecisionContext,
                               n_tilde, n_tilde2, operad_eval_zeta,
                               verify_identity, zeta_number, zeta_value, zhat)
 
-from oracles import fraction_series_cap, fraction_verify_identity, x_power
+from oracles import (comb_verify_identity, fraction_series_cap,
+                     fraction_verify_identity, x_power)
 
 
 def star_poset():
@@ -577,6 +578,55 @@ def test_integer_sums_match_the_fraction_referee_on_named_records():
                 for k in range(1, N + 1))
     B = zeta._borwein_size(DEFAULT_CTX.working_digits)[1]
     assert 0 < exact - rec.lhs_numeric < Fraction(N, 1 << B)
+
+
+def assert_same_as_comb_sum(rec, ctx):
+    try:
+        want = comb_verify_identity(rec, ctx)
+    except PrecisionUnachievable as exc:
+        with pytest.raises(PrecisionUnachievable, match=re.escape(str(exc))):
+            verify_identity(rec, ctx)
+    else:
+        assert verify_identity(rec, ctx) == want, (rec.lhs_description, ctx)
+
+
+@pytest.mark.parametrize("digits", (30, 40, 55, 200))
+def test_forward_differences_match_the_comb_sum_referee(digits,
+                                                        classes_upto_6):
+    # lhs, rhs, bound, pass and notes equal to a sum of math.comb terms
+    # with one zeta_value call each, on the corpus and the named records
+    ctx = PrecisionContext(working_digits=digits)
+    records = [finite_form_identity(P) for n in range(7)
+               for P in classes_upto_6[n]]
+    records += [goldbach_record(), alternating_unit_record(),
+                fractional_record(), fractional_goldbach_record()]
+    records += [binomial_shift_record(k) for k in range(1, 9)]
+    for rec in records:
+        assert_same_as_comb_sum(rec, ctx)
+
+
+def test_forward_differences_match_the_comb_sum_referee_at_high_degree():
+    # A_D has d_D = 1 and every lower d_i, so the differences run D deep;
+    # at 80 digits the larger D refuse with the same message
+    for digits in (80, 200):
+        ctx = PrecisionContext(working_digits=digits)
+        for D in range(1, 61):
+            assert_same_as_comb_sum(
+                finite_form_identity(antichain(D), guard=D), ctx)
+
+
+def test_bounds_past_float_range_print_rounded_up():
+    # the refusal names the bound in %.3e form, above it, in float range
+    # through the float and past it from the exact rational
+    for x in (Fraction(10 ** 400), Fraction(10 ** 400 + 1),
+              Fraction(9999 * 10 ** 397 + 1), Fraction(7 * 10 ** 309, 3),
+              Fraction(2 ** 1024 - 1), Fraction(3, 7), Fraction(10 ** 300)):
+        text = zeta._sci_up(x)
+        mantissa, _, exponent = text.partition("e")
+        shown = Fraction(mantissa) * Fraction(10) ** int(exponent)
+        assert shown >= x and shown - x < Fraction(10) ** int(exponent) / 1000
+        if x < 2 ** 1023:
+            assert text == f"{zeta._float_up(x):.3e}"
 
 
 def test_series_cap_matches_the_fraction_referee():
