@@ -211,6 +211,39 @@ def test_verification_is_thread_safe():
         sys.setswitchinterval(interval)
 
 
+def test_verification_survives_pass_evictions():
+    # six threads at six precisions, more than the four passes kept, so a
+    # pass can be evicted between a record's zeta_value call and its read
+    # of the pass's integers; every record must equal a serial run's
+    assert ZETA_PASSES_KEPT < 6
+    ctxs = [PrecisionContext(working_digits=d) for d in range(20, 50, 5)]
+    rec = finite_form_identity(antichain(3))
+    serial = [verify_identity(rec, c) for c in ctxs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(5):
+            _zeta_pass.cache_clear()
+            got = [None] * len(ctxs)
+            barrier = threading.Barrier(len(ctxs), timeout=60)
+
+            def run(i):
+                barrier.wait()
+                got[i] = [verify_identity(rec, ctxs[i]) for _ in range(4)]
+
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(ctxs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [[r] * 4 for r in serial], trial
+    finally:
+        sys.setswitchinterval(interval)
+        _zeta_pass.cache_clear()
+
+
 def test_zeta_minus_one_decay():
     # 2^-s <= zeta(s)-1 <= 2^-s + integral tail; the first term dominates
     for s in range(2, 45):
