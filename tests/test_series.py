@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 import pytest
 
 from posetoperad import series
-from posetoperad.counting import DEFAULT_GUARD, count_maps, d_vector
+from posetoperad.counting import (DEFAULT_GUARD, count_maps, d_vector,
+                                  order_polynomial)
 from posetoperad.errors import (ArityMismatch, EnumerationGuard,
                                 IndexOutOfRange, MissingProvenance,
                                 ModeMismatch, PosetOperadError,
@@ -20,6 +21,7 @@ from posetoperad.series import (SeriesVec, basis_series, closed_form,
                                 hadamard, iota, operad_eval_series,
                                 ordinal_mul, series_identity_check, series_of,
                                 zigzag_poset)
+from posetoperad.zeta import n_tilde2
 
 from oracles import (closed_form_expand, downset_strict_vector,
                      power_sum_closed_form)
@@ -462,8 +464,6 @@ def assert_exact(values, where):
 
 
 def test_coefficients_are_ints_when_integral(classes_upto_5):
-    from posetoperad.counting import order_polynomial
-    from posetoperad.zeta import n_tilde2
     posets = [P for n in range(6) for P in classes_upto_5[n]]
     small = [series_of(P) for P in posets if len(P) <= 2]
     for P in posets:
