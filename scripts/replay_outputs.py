@@ -66,8 +66,9 @@ COMMANDS = [
     ["--tolerance", "1e-300", "zeta-identity", "A2"],
 ]
 
-# past float range (a tail, or a bound to print), past a ceiling or past
-# Python's int-str limit: each ends in a documented exit code within seconds
+# past float range (a tail, a bound to print, or a tolerance whose half
+# rounds to 0.0 as a float), past a ceiling or past Python's int-str limit:
+# each ends in a documented exit code within seconds
 LIMITS = [
     ["--guard", "90", "zeta-identity", "A90"],
     ["--guard", "95", "zeta-identity", "A95"],
@@ -81,6 +82,7 @@ LIMITS = [
     ["--guard", "500", "series", "A500"],
     ["eval", "C2", "--at", "9" * 3000],
     ["inverse-sum", "A3", "--r", "7" * 1500],
+    ["--tolerance", "5e-324", "zeta-identity", "A3"],
 ]
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 from operator import itemgetter
 
-from .poset import Poset, _bits, decompose, downsets, poset_from_masks
+from .poset import Poset, _bits, decompose, downsets
 
 
 def _extensions(P, keep=None):
@@ -61,35 +61,46 @@ def _certificate(below, above, elements_of):
     the relation of its canonical key); elements_of(mask) lists a mask's
     elements.
 
-    The elements are ordered by code, (|below|, |above|) as one int.  When
-    each class of equal codes holds twins only, elements with one down-set
-    and one up-set that an automorphism can swap, the invariant is the
-    below masks relabeled in that order, in any order of the twins, and
-    ``_pairs`` of it is the key's relation.  Else it is that relation, the
-    least over the color refinement classes, twins kept in order."""
-    w = len(below).bit_length()
+    The elements are ordered by code, (|below|, |above|) as one int, and
+    then by color refinement.  When each class holds twins only, elements
+    with one down-set and one up-set that an automorphism can swap, the
+    invariant is the below masks relabeled in that order, in any order of
+    the twins, and ``_pairs`` of it is the key's relation.  Else it is that
+    relation, the least over the refined classes, twins kept in order."""
+    n = len(below)
+    w = n.bit_length()
     code = [b.bit_count() << w | a.bit_count() for b, a in zip(below, above)]
-    order = sorted(range(len(below)), key=code.__getitem__)
+    order = sorted(range(n), key=code.__getitem__)
     classes = len(set(code))
-    if classes == len(code) or classes == len(set(zip(below, above))):
-        bit = [0] * len(order)
-        for t, x in enumerate(order):
-            bit[x] = 1 << t
-        get = bit.__getitem__
-        return tuple([sum(map(get, elements_of(below[x])))
-                      for x in order]), False
+    if classes == n:
+        return _relabeled(below, order, elements_of), False
+    twins = len(set(zip(below, above)))
+    if classes == twins:
+        return _relabeled(below, order, elements_of), False
+    refined = _refined_classes(below, above, code, order, elements_of)
+    if len(refined) == twins:  # twins share a class, so each holds twins
+        return _relabeled(below, list(chain(*refined)), elements_of), False
     pairs = [(a, b) for a, m in enumerate(above) for b in elements_of(m)]
     pos = [0] * len(below)
     best = None
     for parts in product(*(_arrangements(members, below, above)
-                           for members in _refined_classes(
-                               below, above, code, order, elements_of))):
+                           for members in refined)):
         for t, old in enumerate(chain(*parts)):
             pos[old] = t
         key = tuple(sorted((pos[a], pos[b]) for a, b in pairs))
         if best is None or key < best:
             best = key
     return best, True
+
+
+def _relabeled(below, order, elements_of):
+    """The below masks with element order[t] relabeled t, in that order."""
+    bit, t = [0] * len(order), 1
+    for x in order:
+        bit[x] = t
+        t <<= 1
+    get = bit.__getitem__
+    return tuple([sum(map(get, elements_of(below[x]))) for x in order])
 
 
 def _pairs(below, elements_of):
@@ -265,9 +276,9 @@ def iso_classes(n):
             cert = _certificate(below, above, elements_of)
             if cert not in reps:
                 reps[cert] = below, above
-    keyed = []
+    keyed, labels = [], tuple(str(i + 1) for i in range(n))
     for (relation, is_key), (below, above) in reps.items():
-        P = poset_from_masks(below)
+        P = Poset(labels, below)  # as poset_from_masks, one labels tuple
         P._above = above  # known, so not derived again
         # canonical_key(P), from the certificate
         keyed.append(((n, relation if is_key

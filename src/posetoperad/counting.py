@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm, prod
+from math import comb, lcm, prod
 
 from .errors import EnumerationGuard, PosetOperadError, Record
 from .polynomials import (BinomialPoly, cup_coeffs, ordinal_coeffs,
@@ -236,11 +236,13 @@ def reciprocity_check(P, guard=DEFAULT_GUARD):
     """Verify (-1)^|P| Omega_strict(P, -x) = Omega_weak(P, x) exactly: the
     weak polynomial, the strict one with its signs flipped, must give the
     |P| + 1 weak map counts of ``_weak_map_counts``.  Those fix a
-    polynomial of degree |P|, and through the flip the d-vector."""
+    polynomial of degree |P|, and through the flip the d-vector.  The
+    coefficients are ints, so each count is a sum of ``comb`` products."""
     strict_poly = order_polynomial(P, "strict", guard)
-    weak_poly = order_polynomial(P, "weak", guard)
-    passed = all(weak_poly.eval(n, "multiset") == count
-                 for n, count in enumerate(_weak_map_counts(P)))
+    weak_poly = BinomialPoly(weak_sign_flip(strict_poly.coeffs, len(P)))
+    weak = weak_poly.coeffs.items()
+    passed = all(sum(v * comb(n + i - 1, i) if i else v for i, v in weak)
+                 == count for n, count in enumerate(_weak_map_counts(P)))
     return ReciprocityReport(P, strict_poly, weak_poly, passed)
 
 

@@ -27,7 +27,7 @@ from .errors import (MAX_DIGITS, MAX_DIRECT_TERMS, ArityMismatch,
                      DivergentParameter, MissingProvenance, PosetOperadError,
                      PrecisionUnachievable, Record)
 from .polynomials import BinomialPoly, SparseVec, binomial, render_sum
-from .poset import chain, lex_sum, max_chain_length
+from .poset import chain, lex_sum
 # inverse_power_sum lives in series, next to SeriesVec.eval_at; it is bound
 # here too, so `from posetoperad.zeta import inverse_power_sum` keeps working
 from .series import inverse_power_sum
@@ -97,7 +97,13 @@ def _fixed(x, B):
 
 def _float_up(x):
     """A float >= the nonnegative rational x, never 0."""
-    return math.nextafter(float(x), math.inf)
+    return _ratio_up(x.numerator, x.denominator)
+
+
+def _ratio_up(num, den):
+    """A float >= num / den, never 0: int true division rounds correctly,
+    so the pair need not be in lowest terms."""
+    return math.nextafter(num / den, math.inf)
 
 
 def _sci_up(x):
@@ -125,6 +131,7 @@ def _dps_to_prec(digits):
     return max(1, round((digits + 1) * 3.3219280948873626))
 
 
+@lru_cache
 def _borwein_size(digits):
     """(n, B): Borwein's term count for the working digits plus the guard,
     and the fixed-point bits, which leave room for the kernel's 2n + 1
@@ -173,6 +180,8 @@ class _BorweinPass:
         self.terms = [(w << B) // (dn * (k + 1))  # s = 1
                       for k, w in enumerate(weights)]
         self.values = []  # floor(zeta(s) 2^B) at index s - 2
+        self.moment_sums = {}  # (start, last, alternating) -> [U_0, ...]
+        # or (), the key asked for once
         # 3 + sqrt 8 > 1457/250
         truncation = -(-(6 * 250 ** n << B) // 1457 ** n)
         self.ulps = truncation + 2 * n + 1
@@ -187,6 +196,35 @@ class _BorweinPass:
             self.values.append(
                 (sum(terms[::2]) - sum(terms[1::2])) * half // (half - 1))
         self.terms = terms
+
+    def moments(self, start, last, alternating, degree):
+        """[U_0, ..., U_degree] with U_j = sum_(k=start..last) s_k
+        C(k - start, j) (z_k - 2^B), z_k = floor(zeta(k+1) 2^B) and s_k =
+        (-1)^(k+1) when alternating, else 1; the pass must reach
+        zeta(last + 1).  With w the signed terms, U_j is the (j+1)-th
+        iterated suffix sum of w at index j, since the t-th suffix sum at
+        index a is sum_(m>=a) C(m - a + t - 1, t - 1) w_m: the suffix sums
+        run as prefix sums of w reversed, each order dropping its last
+        entry, additions only.  Kept per key and evicted with the pass, so
+        a record's sum sum_j delta_j U_j costs degree + 1 products.  The
+        first time a key is asked for, it returns None: building the
+        moments costs about one direct sum, more at high precision, so
+        they are built for the key's second record."""
+        key = start, last, alternating
+        sums = self.moment_sums.get(key)
+        if sums is None:
+            self.moment_sums[key] = ()
+        elif len(sums) <= degree:
+            one = self.one
+            w = [z - one for z in reversed(self.values[start - 1:last])]
+            if alternating:  # w[t] is term k = last - t, negative at even k
+                w[last % 2::2] = [-x for x in w[last % 2::2]]
+            sums = []
+            for _ in range(degree + 1):
+                w = list(accumulate(w))
+                sums.append(w.pop() if w else 0)
+            self.moment_sums[key] = sums
+        return sums
 
 
 _zeta_lock = threading.Lock()  # guards the lookup, extend and the read
@@ -225,6 +263,15 @@ def _zeta_integers(first, last, ctx):
         zp = _zeta_pass(ctx.working_digits)
         zp.extend(last)  # a no-op unless another thread evicted the pass
         return zp.values[first - 2:last - 1], zp.ulps
+
+
+def _zeta_moments(start, last, alternating, degree, ctx):
+    """``_BorweinPass.moments`` of the pass for the digits, or None, read
+    under the lock after the pass is extended to zeta(last + 1)."""
+    with _zeta_lock:
+        zp = _zeta_pass(ctx.working_digits)
+        zp.extend(last + 1)  # a no-op unless another thread evicted it
+        return zp.moments(start, last, alternating, degree)
 
 
 def nstr(x, n):
@@ -326,22 +373,29 @@ class ZetaExpr(SparseVec):
         return f"ZetaExpr({self.render()})"
 
     def eval_numeric(self, ctx=DEFAULT_CTX):
-        """(Dyadic value, exact error bound) at the zeta kernel's B bits:
-        the constant and each coefficient v times its zeta value man / 2^B
-        are floored once, the latter as the integer floor of v.numerator *
-        man / v.denominator, and the bound sum |v| zb + (terms + 1) 2^-B is
-        counted in ulps times L, the lcm of the denominators."""
+        """(Dyadic value, exact error bound) at the zeta kernel's B bits,
+        from ``fixed_point``."""
         B = _borwein_size(ctx.working_digits)[1]
+        top = self.max_index()
+        zetas, zb = _zeta_integers(2, top + 1, ctx) if top else ((), 0)
+        total, ulps, L = self.fixed_point(zetas, zb, B)
+        return Dyadic(total, 1 << B), Fraction(ulps, L << B)
+
+    def fixed_point(self, zetas, zb, B):
+        """(total, ulps, L): the value is total / 2^B and its bound ulps /
+        (L 2^B), zetas[s - 2] = floor(zeta(s) 2^B) with bound zb ulps.  The
+        constant and each coefficient v times its zeta value man / 2^B are
+        floored once, the latter as the integer floor of v.numerator * man /
+        v.denominator, and the bound sum |v| zb + (terms + 1) 2^-B is
+        counted in ulps times L, the lcm of the denominators."""
         terms = self.zeta_terms()
         total = _fixed(self.constant, B)
         L = math.lcm(*(v.denominator for _, v in terms))
         ulps = (len(terms) + 1) * L
-        if terms:
-            zetas, zb = _zeta_integers(2, terms[-1][0] + 1, ctx)
-            for k, v in terms:
-                total += v.numerator * zetas[k - 1] // v.denominator
-                ulps += abs(v.numerator) * (L // v.denominator) * zb
-        return Dyadic(total, 1 << B), Fraction(ulps, L << B)
+        for k, v in terms:
+            total += v.numerator * zetas[k - 1] // v.denominator
+            ulps += abs(v.numerator) * (L // v.denominator) * zb
+        return total, ulps, L
 
     def to_json_dict(self):
         return {"constant": str(self.constant),
@@ -360,13 +414,26 @@ def n_tilde2(p):
     """C(x,k) -> (-1)^(k+1)(zeta(k+1)-1-2^-(k+1)) for k >= 1, C(x,0) -> 1/2.
 
     Image of p under the alternating sum of p(k)(zeta(k+1)-1); the rational
-    shifts are folded into the constant so the result stays exact.
+    shifts are folded into the constant so the result stays exact.  The
+    constant is one Fraction built from integers: with L the lcm of the
+    denominators and D the top index, 2^(D+1) L times it is c_0 L 2^D minus
+    (-1)^(k+1) c_k L (2^(D+1) + 2^(D-k)) for each k >= 1.
     """
-    out = {0: Fraction(p.coeff(0), 2)}
-    for i, v in p.coeffs.items():
-        if i:
-            out[i] = signed = (-1) ** (i + 1) * v
-            out[0] += signed * (-1 - Fraction(1, 2 ** (i + 1)))
+    coeffs = p.coeffs
+    D = max(coeffs, default=0)
+    L = math.lcm(*(v.denominator for v in coeffs.values()))
+    out, num = {}, 0
+    for i, v in coeffs.items():
+        n = v.numerator * (L // v.denominator)
+        if not i:
+            num += n << D
+        elif i % 2:
+            out[i] = v
+            num -= n * ((2 << D) + (1 << D - i))
+        else:
+            out[i] = -v
+            num += n * ((2 << D) + (1 << D - i))
+    out[0] = Fraction(num, L << D + 1)
     return ZetaExpr(out)
 
 
@@ -432,45 +499,65 @@ def _choose_series_cap(M, D, tol, cap):
     M * sum_(k>N) k^D 2^-k falls below tol / 2.  With a = (N+1)^D and
     b = (N+2)^D the geometric ratio b / 2a is below 1 when b < 2a, and
     the tail is M a / 2^(N+1) / (1 - b / 2a) = M a^2 / (2^N (2a - b)),
-    one integer quotient, compared as a float once below 2^1023 > tol / 2."""
+    compared with the exact tol / 2 in integers.  The tail is at least
+    M a / 2^(N+1), so an N where that exceeds 2 tol in floats fails, the
+    margin far above their rounding, and is passed over."""
+    tn, td = tol.as_integer_ratio()
+    floor = (math.log2(M.numerator) - math.log2(M.denominator) - 1
+             - math.log2(tn) + math.log2(td) - 1) if M else -math.inf
     N = max(8, 2 * D + 2)
     while N <= cap:
-        a, b = (N + 1) ** D, (N + 2) ** D
-        if b < 2 * a:
+        if floor + D * math.log2(N + 1) <= N:
+            a, b = (N + 1) ** D, (N + 2) ** D
             num = M.numerator * a * a
             den = M.denominator * (2 * a - b) << N
-            if num < den << 1023 and num / den < tol / 2:
+            if b < 2 * a and 2 * td * num < tn * den:
                 return N, Fraction(num, den)
         N = N + max(4, N // 4)
     raise PrecisionUnachievable(
-        f"series cap {cap} cannot push the tail below {tol / 2}")
+        f"series cap {cap} cannot push the tail below "
+        f"{_sci_up(Fraction(tn, 2 * td))}")
 
 
-def _verdict(lhs, rhs, bound, ctx):
-    """(the exact bound rounded up to a float, PASS), both decided exactly:
-    a bound above the tolerance would pass whatever it swallows, so it
-    raises, and PASS is |lhs - rhs| <= bound + tolerance."""
-    if bound > ctx.verify_tolerance:
+def _verdict(gap, num, den, ctx):
+    """(the bound num / den rounded up to a float, PASS), both decided in
+    integers, gap / den being |lhs - rhs|: a bound above the tolerance
+    would pass whatever it swallows, so it raises, and PASS is
+    |lhs - rhs| <= bound + tolerance."""
+    tn, td = ctx.verify_tolerance.as_integer_ratio()
+    if num * td > tn * den:
         raise PrecisionUnachievable(
-            f"error bound {_sci_up(bound)} exceeds tolerance "
+            f"error bound {_sci_up(Fraction(num, den))} exceeds tolerance "
             f"{ctx.verify_tolerance:.3e}; raise the working digits")
-    return (_float_up(bound),
-            abs(lhs - rhs) <= bound + Fraction(ctx.verify_tolerance))
+    return _ratio_up(num, den), gap * td <= num * td + tn * den
 
 
-def _forward_values(coeffs, start, count):
-    """[q(start), ..., q(start + count - 1)] for q(k) = sum_i c_i C(k, i),
-    coeffs = {i: c_i}, by forward differences and no binomial per term:
-    Delta^j q(start) = sum_i c_i C(start, i - j), Delta^D q is constant,
-    and each order's values are the running sums of the next order's."""
+def _bound_ratio(tail, ulps, L, rhs_ulps, rhs_L, B):
+    """(num, den): num / den = tail + ulps / (L 2^B) + rhs_ulps /
+    (rhs_L 2^B), with den the tail's denominator times L rhs_L 2^B."""
+    tn, td = tail.numerator, tail.denominator
+    return ((tn * L * rhs_L << B) + td * (ulps * rhs_L + rhs_ulps * L),
+            td * L * rhs_L << B)
+
+
+def _differences(coeffs, start):
+    """[Delta^j q(start) for j = 0..D], q(k) = sum_i c_i C(k, i) with
+    coeffs = {i: c_i} and D the top index: Delta^j q(start) = sum_i c_i
+    C(start, i - j), so q(k) = sum_j Delta^j q(start) C(k - start, j)."""
+    return [sum(c * math.comb(start, i - j) for i, c in coeffs.items()
+                if i >= j) for j in range(max(coeffs, default=0) + 1)]
+
+
+def _forward_values(diffs, count):
+    """[q(start), ..., q(start + count - 1)] from diffs, the
+    ``_differences`` of q at start, with no binomial per term: Delta^D q
+    is constant, and each order's values are the running sums of the next
+    order's."""
     if count <= 0:
         return []
-    D = max(coeffs, default=0)
-    diffs = [sum(c * math.comb(start, i - j) for i, c in coeffs.items()
-                 if i >= j) for j in range(D + 1)]
-    values = [diffs[D]] * count
-    for j in range(D - 1, -1, -1):
-        values = list(accumulate(values[:-1], initial=diffs[j]))
+    values = [diffs[-1]] * count
+    for d in reversed(diffs[:-1]):
+        values = list(accumulate(values[:-1], initial=d))
     return values
 
 
@@ -483,13 +570,21 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
 
     The sum runs in integers.  With L the lcm of the polynomial's
     denominators (1 for every record the package builds), L p(k) = q_k is
-    an integer, stepped by forward differences (``_forward_values``), and
-    zeta(k+1) - 1 is man_k / 2^B, the pass's integers read once, so each
-    term adds floor(+-q_k man_k / L): for L = 1 the whole sum is exact and
-    is one sum of products.  One floor per nonzero term is still counted,
-    so the floor count in the bound is an upper bound.  The bound,
-    tail + (sum |q_k| / L) zb + RHS bound + floors 2^-B, is exact until the
-    record rounds it up.
+    an integer, and zeta(k+1) - 1 is man_k / 2^B, read from the pass.  At
+    the start index, q_k = sum_j delta_j C(k - start, j) with delta_j the
+    forward differences of q there.  When L = 1, every delta_j >= 0 and
+    delta_0 > 0, every q_k is positive, so the weight sum |q_k| is
+    sum_j delta_j C(T, j + 1) by the hockey stick, T = N - start + 1 terms
+    each count one floor, and the bound is known, and may refuse, before
+    the sum.  The sum, exact, is then sum_j delta_j U_j with the pass's
+    moments U_j (``_BorweinPass.moments``), the same for every record with
+    these digits, start, N and signs, from the second such record on.
+    The first, and any record off that certificate, sums term by term:
+    q_k stepped by forward differences (``_forward_values``), each term
+    adding floor(+-q_k man_k / L), one floor per nonzero term; off the
+    certificate the weight is summed as the terms go.  The bound,
+    tail + (sum |q_k| / L) zb + RHS bound + floors 2^-B, is exact until
+    the record rounds it up.
     """
     if rec.lhs_poly is None:
         raise ValueError("record carries no summable polynomial")
@@ -498,7 +593,6 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
     L = math.lcm(*(v.denominator for v in poly.coeffs.values()))
     coeffs = {i: v.numerator * (L // v.denominator)
               for i, v in poly.coeffs.items()}
-    M = Fraction(sum(map(abs, coeffs.values())), L)
     if not rec.alternating and D > 0:
         raise DivergentParameter(
             "non-alternating zeta-shift series need a constant polynomial")
@@ -506,36 +600,53 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
     if start < 0 or start == 0 and coeffs.get(0):
         raise ValueError("the LHS terms start at k >= 1: zeta(1) diverges")
     start = max(start, 1)
-    N, tail = _choose_series_cap(M, D, ctx.verify_tolerance, ctx.series_term_cap)
+    N, tail = _choose_series_cap(Fraction(sum(map(abs, coeffs.values())), L),
+                                 D, ctx.verify_tolerance, ctx.series_term_cap)
     B = _borwein_size(ctx.working_digits)[1]
-    zetas, zb = _zeta_integers(start + 1, N + 1, ctx)
-    one = 1 << B
-    q = _forward_values(coeffs, start, N - start + 1)
-    if rec.alternating:  # (-1)^(k+1): the terms at even k subtract
-        q[start % 2::2] = [-qk for qk in q[start % 2::2]]
-    if L == 1:  # sum q_k (z_k - 2^B), exact
-        total = sum(map(mul, q, zetas)) - sum(q) * one
+    one, T = 1 << B, N - start + 1
+    zetas, zb = _zeta_integers(2, max(N, rec.rhs.max_index()) + 1, ctx)
+    rhs_total, rhs_ulps, rhs_L = rec.rhs.fixed_point(zetas, zb, B)
+    delta = _differences(coeffs, start)
+    positive = L == 1 and T > 0 and delta[0] > 0 and min(delta) >= 0
+    sums = None
+    if positive:  # every q_k > 0: the weight by the hockey stick
+        ulps = sum(d * math.comb(T, j + 1)
+                   for j, d in enumerate(delta)) * zb + T
+        num, den = _bound_ratio(tail, ulps, L, rhs_ulps, rhs_L, B)
+        _verdict(0, num, den, ctx)  # refuses here, before the sum
+        sums = _zeta_moments(start, N, rec.alternating, D, ctx)
+    if sums is None:  # term by term
+        q = _forward_values(delta, T)
+        if rec.alternating:  # (-1)^(k+1): the terms at even k subtract
+            q[start % 2::2] = [-qk for qk in q[start % 2::2]]
+        zs = zetas[start - 1:N]
+        if L == 1:  # sum q_k (z_k - 2^B), exact
+            total = sum(map(mul, q, zs)) - sum(q) * one
+        else:
+            total = sum(qk * (z - one) // L for qk, z in zip(q, zs))
     else:
-        total = sum(qk * (z - one) // L for qk, z in zip(q, zetas))
-    lhs_val = Dyadic(total, one)
-    rhs_val, rhs_bound = rec.rhs.eval_numeric(ctx)
-    ulps = sum(map(abs, q)) * zb + (len(q) - q.count(0)) * L
-    bound, passed = _verdict(lhs_val, rhs_val,
-                             tail + Fraction(ulps, L << B) + rhs_bound, ctx)
-    return rec._replace(lhs_numeric=lhs_val, rhs_numeric=rhs_val,
-                        error_bound=bound, passed=passed,
-                        notes=rec.notes + (f"lhs summed to k={N}",))
+        total = sum(map(mul, delta, sums))
+    if not positive:
+        ulps = sum(map(abs, q)) * zb + (len(q) - q.count(0)) * L
+        num, den = _bound_ratio(tail, ulps, L, rhs_ulps, rhs_L, B)
+    bound, passed = _verdict(abs(total - rhs_total) * (den >> B), num, den,
+                             ctx)
+    return type(rec)(*rec._values()[:6], Dyadic(total, one),
+                     Dyadic(rhs_total, one), bound, passed,
+                     rec.notes + (f"lhs summed to k={N}",))
 
 
 def finite_form_identity(P, guard=DEFAULT_GUARD):
     """Finite form of sum_(k>=r0) (-1)^(k+1) Omega_strict(P,k)(zeta(k+1)-1):
-    the image of the strict order polynomial under the alternating map."""
+    the image of the strict order polynomial under the alternating map.
+    r0 is the height of P, the polynomial's lowest index: d_i = 0 below it,
+    and a rank map makes d_r0 >= 1."""
     poly = order_polynomial(P, "strict", guard)
-    r0 = max(1, max_chain_length(P))
+    r0 = max(1, min(poly.coeffs, default=0))
     desc = (f"sum_{{k>={r0}}} (-1)^(k+1) Omega({P.relation_string()})(k) "
             f"(zeta(k+1)-1)")
-    return IdentityRecord(lhs_description=desc, rhs=n_tilde2(poly), poset=P,
-                          lhs_poly=poly, alternating=True, start_index=r0)
+    return IdentityRecord(desc, n_tilde2(poly), P, poly, True, r0, None, None,
+                          None, None, ())
 
 
 def inverse_power_sum_partial(P, r, terms, mode="strict", guard=DEFAULT_GUARD):
@@ -645,8 +756,10 @@ def entry22_check(k, ctx=DEFAULT_CTX):
     total = Dyadic(sum(one // (n * (n + 1)) ** k for n in range(1, M + 1)), one)
     tail = Fraction(1, (2 * k - 1) * M ** (2 * k - 1))
     rhs_val, rhs_bound = formula.eval_numeric(ctx)
-    bound, passed = _verdict(total, rhs_val,
-                             tail + Fraction(M, one) + rhs_bound, ctx)
+    gap, bound = abs(total - rhs_val), tail + Fraction(M, one) + rhs_bound
+    bound, passed = _verdict(gap.numerator * bound.denominator,
+                             bound.numerator * gap.denominator,
+                             bound.denominator * gap.denominator, ctx)
     notes = [f"telescoping oracle: {oracle.render()}",
              f"formula matches oracle: {formula == oracle}"]
     return IdentityRecord(

@@ -10,13 +10,13 @@ from itertools import chain as chained, permutations, product
 from math import comb, factorial, lcm
 
 from posetoperad import zeta
-from posetoperad.catalog import _extensions, poset_from_masks
+from posetoperad.catalog import _extensions
 from posetoperad.counting import count_maps
 from posetoperad.errors import (DivergentParameter, PrecisionUnachievable,
                                 Record)
 from posetoperad.polynomials import (BinomialPoly, MonomialPoly, SparseVec,
                                      binomial)
-from posetoperad.poset import Poset, chain, downsets
+from posetoperad.poset import Poset, chain, downsets, poset_from_masks
 from posetoperad.series import ClosedForm
 
 
@@ -352,18 +352,30 @@ def nested_sum_identity_check(n, k, q):
 
 def fraction_series_cap(M, D, tol, cap):
     """The series cap in Fraction powers: try N until the exact majorant
-    M (N+1)^D 2^-(N+1) / (1 - q), q = (N+2)^D / (2 (N+1)^D) < 1, rounds
-    to a float below tol / 2."""
+    M (N+1)^D 2^-(N+1) / (1 - q), q = (N+2)^D / (2 (N+1)^D) < 1, falls
+    below the exact tol / 2."""
     N = max(8, 2 * D + 2)
     while N <= cap:
         q = Fraction((N + 2) ** D, 2 * (N + 1) ** D)
         if q < 1:
             t = M * Fraction((N + 1) ** D, 2 ** (N + 1)) / (1 - q)
-            if t < 2 ** 1023 and float(t) < tol / 2:
+            if t < Fraction(tol) / 2:
                 return N, t
         N = N + max(4, N // 4)
     raise PrecisionUnachievable(
-        f"series cap {cap} cannot push the tail below {tol / 2}")
+        f"series cap {cap} cannot push the tail below "
+        f"{zeta._sci_up(Fraction(tol) / 2)}")
+
+
+def fraction_verdict(lhs, rhs, bound, ctx):
+    """(the bound rounded up to a float, PASS) in Fractions: a bound above
+    the tolerance raises, and PASS is |lhs - rhs| <= bound + tolerance."""
+    if bound > ctx.verify_tolerance:
+        raise PrecisionUnachievable(
+            f"error bound {zeta._sci_up(bound)} exceeds tolerance "
+            f"{ctx.verify_tolerance:.3e}; raise the working digits")
+    return (zeta._float_up(bound),
+            abs(lhs - rhs) <= bound + Fraction(ctx.verify_tolerance))
 
 
 def fraction_eval_numeric(expr, ctx):
@@ -409,7 +421,7 @@ def fraction_verify_identity(rec, ctx):
         term_bound += abs(pk) * Fraction(zb)
     lhs_val = zeta.Dyadic(total, 1 << B)
     rhs_val, rhs_bound = fraction_eval_numeric(rec.rhs, ctx)
-    bound, passed = zeta._verdict(
+    bound, passed = fraction_verdict(
         lhs_val, rhs_val,
         tail + term_bound + rhs_bound + Fraction(floors, 1 << B), ctx)
     return rec._replace(lhs_numeric=lhs_val, rhs_numeric=rhs_val,
@@ -449,7 +461,7 @@ def comb_verify_identity(rec, ctx):
     lhs_val = zeta.Dyadic(total, 1 << B)
     rhs_val, rhs_bound = fraction_eval_numeric(rec.rhs, ctx)
     ulps = weight * zeta._fixed(zb, B) + floors * L
-    bound, passed = zeta._verdict(
+    bound, passed = fraction_verdict(
         lhs_val, rhs_val, tail + Fraction(ulps, L << B) + rhs_bound, ctx)
     return rec._replace(lhs_numeric=lhs_val, rhs_numeric=rhs_val,
                         error_bound=bound, passed=passed,

@@ -2,10 +2,10 @@ import hashlib
 import random
 
 from posetoperad.catalog import (_certificate, _extensions, canonical_key,
-                                 is_series_parallel, iso_classes,
-                                 poset_from_masks)
+                                 is_series_parallel, iso_classes)
 from posetoperad.counting import d_vector
-from posetoperad.poset import _bits, antichain, chain, ordinal_sum
+from posetoperad.poset import (_bits, antichain, chain, ordinal_sum,
+                               poset_from_masks)
 from posetoperad.series import zigzag_poset
 
 from oracles import (has_induced_zigzag, labeled_masks, poset_from_relation,

@@ -161,8 +161,11 @@ INT_STR_LIMIT = ("error: a number of more than 4300 digits cannot be read "
      "error: argument --guard: need at most 500 elements, got '1000'"),
     (["eval", "C2", "--at", "9" * 3000], EXIT_USAGE, INT_STR_LIMIT),
     (["inverse-sum", "A3", "--r", "7" * 1500], EXIT_USAGE, INT_STR_LIMIT),
+    (["--tolerance", "5e-324", "zeta-identity", "A3"], EXIT_FAIL,
+     "error: error bound 2.752e-49 exceeds tolerance 4.941e-324"),
 ], ids=["A90-bound", "A95-tail", "A100-past-float", "A150-past-float",
-        "guard-2000", "guard-1000", "eval-digits", "inverse-sum-digits"])
+        "guard-2000", "guard-1000", "eval-digits", "inverse-sum-digits",
+        "smallest-tolerance"])
 def test_inputs_past_a_limit_end_in_their_exit_code(capsys, argv, want,
                                                     message):
     start = time.perf_counter()
@@ -172,6 +175,44 @@ def test_inputs_past_a_limit_end_in_their_exit_code(capsys, argv, want,
     assert [line for line in err.splitlines() if "error:" in line] == \
         [err.splitlines()[-1]]
     assert message in err and "Traceback" not in err
+
+
+def test_a_term_cap_far_past_the_tail_refuses_within_a_time_budget():
+    # A500's bound is known before its 11,656 terms, so the refusal comes
+    # before the first of them, whatever the cap: the whole process ends
+    # in under 2 s
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "posetoperad.cli", "--guard", "500",
+         "--term-cap", "100000000", "zeta-identity", "A500"],
+        capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == EXIT_FAIL and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: error bound 1.760e+1974 exceeds tolerance 1.000e-12; raise "
+        "the working digits"]
+    assert elapsed < 2, elapsed
+
+
+def test_zeta_identity_reports_a_failed_identity(capsys, monkeypatch):
+    # the finite form's constant moved by 2^-30: both formats report the
+    # failed comparison, and the exit code is 1
+    from fractions import Fraction
+    from posetoperad import zeta
+    true_n_tilde2 = zeta.n_tilde2
+
+    def shifted(p):
+        expr = true_n_tilde2(p)
+        return zeta.ZetaExpr({**expr.coeffs,
+                              0: expr.constant + Fraction(1, 2 ** 30)})
+    monkeypatch.setattr(zeta, "n_tilde2", shifted)
+    code, out, err = run(capsys, "zeta-identity", "A3")
+    assert code == EXIT_FAIL and err == ""
+    assert out.splitlines()[-1] == "pass: False"
+    code, payload, err = run_json(capsys, "zeta-identity", "A3")
+    assert code == EXIT_FAIL and err == ""
+    assert payload["record"]["pass"] is False
 
 
 # a direct sum over its ceiling fails its own case; the other cases still run

@@ -2,7 +2,7 @@ import re
 import sys
 import threading
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import mpmath
 from hypothesis import given, settings
@@ -255,7 +255,7 @@ def test_zeta_minus_one_decay():
 
 def test_euler_even_zeta_formula():
     # zeta(2n) = (-1)^(n+1) (2 pi)^(2n) B_2n / (2 (2n)!)
-    from math import factorial
+    from math import comb, factorial
     for n in range(1, 7):
         v, _ = zeta_value(2 * n)
         B = bernoulli_number(2 * n)
@@ -646,6 +646,112 @@ def test_forward_differences_match_the_comb_sum_referee_at_high_degree():
         for D in range(1, 61):
             assert_same_as_comb_sum(
                 finite_form_identity(antichain(D), guard=D), ctx)
+
+
+def test_records_off_the_certificate_match_the_comb_sum_referee():
+    # the per-term path: a polynomial with a negative difference at its
+    # start (q(k) = 2 - k, zero at k = 2 and negative past it), and C3
+    # summed from k = 1, where delta_0 = q(1) = 0
+    falling = BinomialPoly({0: 2, 1: -1})
+    records = [
+        IdentityRecord(lhs_description="sum_{n>=1} (-1)^(n+1) (2 - n) "
+                                       "(zeta(n+1)-1)",
+                       rhs=n_tilde2(falling), lhs_poly=falling,
+                       alternating=True),
+        finite_form_identity(chain(3))._replace(start_index=1)]
+    assert zeta._differences({0: 2, 1: -1}, 1) == [1, -1]
+    assert zeta._differences({3: 1}, 1)[0] == 0
+    for digits in (30, 40, 200):
+        ctx = PrecisionContext(working_digits=digits)
+        for rec in records:
+            assert_same_as_comb_sum(rec, ctx)
+            assert verify_identity(rec, ctx).passed
+
+
+def test_moment_sums_match_the_direct_sums(classes_upto_6):
+    # on a fresh pass a record sums its terms, and the pass keeps its key;
+    # the same record again reads the moments: both equal the referee
+    ctx = PrecisionContext(working_digits=40)
+    try:
+        for size in range(7):
+            for P in classes_upto_6[size]:
+                rec = finite_form_identity(P)
+                _zeta_pass.cache_clear()
+                direct = verify_identity(rec, ctx)
+                moments = verify_identity(rec, ctx)
+                assert direct == moments == comb_verify_identity(rec, ctx), P
+                sums = _zeta_pass(40).moment_sums
+                assert [len(u) for u in sums.values()] == \
+                    [rec.lhs_poly.max_index() + 1], P
+    finally:
+        _zeta_pass.cache_clear()
+
+
+def test_closed_form_weight_matches_the_summed_weight(classes_upto_6):
+    # every class of 0-6 elements takes the certificate: delta_0 > 0 and no
+    # delta_j < 0 at r0, and the weight sum_j delta_j C(T, j+1) equals
+    # sum |q_k| over the N - r0 + 1 summed terms
+    for size in range(7):
+        for P in classes_upto_6[size]:
+            form = finite_form_identity(P)
+            coeffs = form.lhs_poly.coeffs
+            N, _ = _choose_series_cap(Fraction(sum(coeffs.values())),
+                                      form.lhs_poly.max_index(),
+                                      DEFAULT_CTX.verify_tolerance,
+                                      DEFAULT_CTX.series_term_cap)
+            start, T = form.start_index, N - form.start_index + 1
+            delta = zeta._differences(coeffs, start)
+            assert delta[0] > 0 and min(delta) >= 0, P
+            summed = [sum(c * comb(k, i) for i, c in coeffs.items())
+                      for k in range(start, N + 1)]
+            assert min(summed) > 0, P
+            assert sum(d * comb(T, j + 1) for j, d in enumerate(delta)) \
+                == sum(summed), P
+
+
+def test_the_bound_refuses_before_the_sum(monkeypatch):
+    # A500's weight comes from its differences, so the refusal needs
+    # neither the terms nor the pass's moments
+    def no_moments(*args):
+        raise AssertionError("the moments were read")
+    monkeypatch.setattr(zeta, "_zeta_moments", no_moments)
+    monkeypatch.setattr(zeta, "_forward_values", no_moments)
+    rec = finite_form_identity(antichain(500), guard=500)
+    ctx = PrecisionContext(series_term_cap=10 ** 8)
+    with pytest.raises(PrecisionUnachievable,
+                       match=r"error bound 1\.760e\+1974 exceeds"):
+        verify_identity(rec, ctx)
+
+
+def test_a_moved_constant_fails_on_both_paths(monkeypatch):
+    # n_tilde2's constant moved by 2^-30: A3 (the moments) and the
+    # fractional record (L = 21, term by term) both FAIL
+    true_n_tilde2 = zeta.n_tilde2
+
+    def shifted(p):
+        expr = true_n_tilde2(p)
+        return ZetaExpr({**expr.coeffs,
+                         0: expr.constant + Fraction(1, 2 ** 30)})
+    monkeypatch.setattr(zeta, "n_tilde2", shifted)
+    frac = fractional_record()
+    records = [zeta.finite_form_identity(antichain(3)),
+               frac._replace(rhs=zeta.n_tilde2(frac.lhs_poly))]
+    _zeta_pass.cache_clear()
+    for rec in records:
+        # A3 sums its terms once, then reads the moments
+        got = [verify_identity(rec) for _ in range(2)]
+        assert got[0].passed is False, rec.lhs_description
+        assert got == [comb_verify_identity(rec, DEFAULT_CTX)] * 2
+
+
+def test_the_smallest_tolerance_is_halved_exactly():
+    # 5e-324 / 2 rounds to 0.0 as a float; the exact half is reached
+    N, tail = _choose_series_cap(Fraction(1), 3, 5e-324, 4000)
+    assert 0 < tail < Fraction(5e-324) / 2
+    assert (N, tail) == fraction_series_cap(Fraction(1), 3, 5e-324, 4000)
+    with pytest.raises(PrecisionUnachievable,
+                       match=r"cannot push the tail below 4\.941e-324"):
+        _choose_series_cap(Fraction(1), 3, 5e-324, 1000)
 
 
 def test_bounds_past_float_range_print_rounded_up():
