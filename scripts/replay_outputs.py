@@ -83,6 +83,9 @@ LIMITS = [
     ["eval", "C2", "--at", "9" * 3000],
     ["inverse-sum", "A3", "--r", "7" * 1500],
     ["--tolerance", "5e-324", "zeta-identity", "A3"],
+    ["tables", "--eulerian", "500"],
+    ["tables", "--stirling", "500"],
+    ["tables", "--eulerian", "501"],
 ]
 
 

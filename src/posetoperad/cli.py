@@ -146,9 +146,11 @@ def _ctx(args):
 
 
 def _emit(args, human_lines, payload):
+    """Write the payload as JSON, or the human lines, as they are made."""
     if args.format == "json":
-        payload = {"schema": SCHEMA_VERSION, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        json.dump({"schema": SCHEMA_VERSION, **payload}, sys.stdout,
+                  indent=2, sort_keys=True)
+        print()
     else:
         for line in human_lines:
             print(line)
@@ -256,9 +258,12 @@ def _cmd_tables(args):
     else:
         table, name, first = "stirling", "S", 0
         rows = stirling_rows(args.stirling)
-    rows = {str(n): row for n, row in enumerate(rows, first)}
-    lines = [f"{name}({n},.) = {row}" for n, row in rows.items()]
-    _emit(args, lines, {"value": rows, "table": table})
+    rows = enumerate(rows, first)
+    if args.format == "json":  # sorted keys put "10" before "2": keep all
+        _emit(args, (), {"value": {str(n): row for n, row in rows},
+                         "table": table})
+    else:  # one row at a time
+        _emit(args, (f"{name}({n},.) = {row}" for n, row in rows), None)
     return EXIT_OK
 
 

@@ -8,9 +8,11 @@ B-bit fixed point, one pass shared by every s.  The verification sums, the
 direct sum in entry22_check and the decimal rendering work on the same
 integers, so every value is an exact Dyadic, every bound is an exact sum
 that counts its floors, rounded up to a float once, PASS is an exact
-rational comparison, and the one shared state, the zeta passes, is read
-under a lock: the layer is safe to call from several threads.  mpmath is
-not needed; a Dyadic exposes ``_mpf_`` so that mpmath code can read it.
+rational comparison.  The shared state is two bounded memos: the zeta
+passes, read under a lock, and the identity sums' moments, pure functions
+of the passes' integers built outside it; the layer is safe to call from
+several threads.  mpmath is not needed; a Dyadic exposes ``_mpf_`` so that
+mpmath code can read it.
 """
 
 from __future__ import annotations
@@ -180,8 +182,6 @@ class _BorweinPass:
         self.terms = [(w << B) // (dn * (k + 1))  # s = 1
                       for k, w in enumerate(weights)]
         self.values = []  # floor(zeta(s) 2^B) at index s - 2
-        self.moment_sums = {}  # (start, last, alternating) -> [U_0, ...]
-        # or (), the key asked for once
         # 3 + sqrt 8 > 1457/250
         truncation = -(-(6 * 250 ** n << B) // 1457 ** n)
         self.ulps = truncation + 2 * n + 1
@@ -196,35 +196,6 @@ class _BorweinPass:
             self.values.append(
                 (sum(terms[::2]) - sum(terms[1::2])) * half // (half - 1))
         self.terms = terms
-
-    def moments(self, start, last, alternating, degree):
-        """[U_0, ..., U_degree] with U_j = sum_(k=start..last) s_k
-        C(k - start, j) (z_k - 2^B), z_k = floor(zeta(k+1) 2^B) and s_k =
-        (-1)^(k+1) when alternating, else 1; the pass must reach
-        zeta(last + 1).  With w the signed terms, U_j is the (j+1)-th
-        iterated suffix sum of w at index j, since the t-th suffix sum at
-        index a is sum_(m>=a) C(m - a + t - 1, t - 1) w_m: the suffix sums
-        run as prefix sums of w reversed, each order dropping its last
-        entry, additions only.  Kept per key and evicted with the pass, so
-        a record's sum sum_j delta_j U_j costs degree + 1 products.  The
-        first time a key is asked for, it returns None: building the
-        moments costs about one direct sum, more at high precision, so
-        they are built for the key's second record."""
-        key = start, last, alternating
-        sums = self.moment_sums.get(key)
-        if sums is None:
-            self.moment_sums[key] = ()
-        elif len(sums) <= degree:
-            one = self.one
-            w = [z - one for z in reversed(self.values[start - 1:last])]
-            if alternating:  # w[t] is term k = last - t, negative at even k
-                w[last % 2::2] = [-x for x in w[last % 2::2]]
-            sums = []
-            for _ in range(degree + 1):
-                w = list(accumulate(w))
-                sums.append(w.pop() if w else 0)
-            self.moment_sums[key] = sums
-        return sums
 
 
 _zeta_lock = threading.Lock()  # guards the lookup, extend and the read
@@ -265,13 +236,32 @@ def _zeta_integers(first, last, ctx):
         return zp.values[first - 2:last - 1], zp.ulps
 
 
-def _zeta_moments(start, last, alternating, degree, ctx):
-    """``_BorweinPass.moments`` of the pass for the digits, or None, read
-    under the lock after the pass is extended to zeta(last + 1)."""
+@lru_cache
+def _moments(digits, start, last, alternating, degree):
+    """(U_0, ..., U_degree) with U_j = sum_(k=start..last) s_k C(k - start,
+    j) (z_k - 2^B), z_k = floor(zeta(k+1) 2^B) at the digits and s_k =
+    (-1)^(k+1) when alternating, else 1.  The pass is extended to
+    zeta(last + 1) and its integers read under the lock once; the moments
+    are built outside it.  With w the signed terms, U_j is the (j+1)-th
+    iterated suffix sum of w at index j, since the t-th suffix sum at index
+    a is sum_(m>=a) C(m - a + t - 1, t - 1) w_m: the suffix sums run as
+    prefix sums of w reversed, each order dropping its last entry,
+    additions only.  The pass's integers are a pure function of the
+    digits, so the moments outlive the pass's eviction; a test that
+    corrupts a pass's integers must clear this memo too.  Called only
+    after ``_zeta_integers``, which checks the digits."""
     with _zeta_lock:
-        zp = _zeta_pass(ctx.working_digits)
+        zp = _zeta_pass(digits)
         zp.extend(last + 1)  # a no-op unless another thread evicted it
-        return zp.moments(start, last, alternating, degree)
+        zs, one = zp.values[start - 1:last], zp.one
+    w = [z - one for z in reversed(zs)]
+    if alternating:  # w[t] is term k = last - t, negative at even k
+        w[last % 2::2] = [-x for x in w[last % 2::2]]
+    sums = []
+    for _ in range(degree + 1):
+        w = list(accumulate(w))
+        sums.append(w.pop() if w else 0)
+    return tuple(sums)
 
 
 def nstr(x, n):
@@ -572,19 +562,18 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
     denominators (1 for every record the package builds), L p(k) = q_k is
     an integer, and zeta(k+1) - 1 is man_k / 2^B, read from the pass.  At
     the start index, q_k = sum_j delta_j C(k - start, j) with delta_j the
-    forward differences of q there.  When L = 1, every delta_j >= 0 and
-    delta_0 > 0, every q_k is positive, so the weight sum |q_k| is
-    sum_j delta_j C(T, j + 1) by the hockey stick, T = N - start + 1 terms
-    each count one floor, and the bound is known, and may refuse, before
-    the sum.  The sum, exact, is then sum_j delta_j U_j with the pass's
-    moments U_j (``_BorweinPass.moments``), the same for every record with
-    these digits, start, N and signs, from the second such record on.
-    The first, and any record off that certificate, sums term by term:
-    q_k stepped by forward differences (``_forward_values``), each term
-    adding floor(+-q_k man_k / L), one floor per nonzero term; off the
-    certificate the weight is summed as the terms go.  The bound,
-    tail + (sum |q_k| / L) zb + RHS bound + floors 2^-B, is exact until
-    the record rounds it up.
+    forward differences of q there.  Each record takes one flow: weight,
+    bound, refusal, sum, verdict.  The weight: when L = 1, every
+    delta_j >= 0 and delta_0 > 0, every q_k is positive, so sum |q_k| is
+    sum_j delta_j C(T, j + 1) by the hockey stick and each of the
+    T = N - start + 1 terms counts one floor; otherwise the signed q_k
+    come by forward differences (``_forward_values``) and their weight and
+    nonzero count are summed.  The bound, tail + (sum |q_k| / L) zb + RHS
+    bound + floors 2^-B, exact until the record rounds it up, is refused
+    before any sum.  The sum: when L = 1 it is sum_j delta_j U_j with the
+    moments U_j (``_moments``), exact, the same for every record with these
+    digits, start, N, signs and degree; when L > 1 each term adds
+    floor(+-q_k man_k / L).
     """
     if rec.lhs_poly is None:
         raise ValueError("record carries no summable polynomial")
@@ -607,28 +596,24 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
     zetas, zb = _zeta_integers(2, max(N, rec.rhs.max_index()) + 1, ctx)
     rhs_total, rhs_ulps, rhs_L = rec.rhs.fixed_point(zetas, zb, B)
     delta = _differences(coeffs, start)
-    positive = L == 1 and T > 0 and delta[0] > 0 and min(delta) >= 0
-    sums = None
-    if positive:  # every q_k > 0: the weight by the hockey stick
-        ulps = sum(d * math.comb(T, j + 1)
-                   for j, d in enumerate(delta)) * zb + T
-        num, den = _bound_ratio(tail, ulps, L, rhs_ulps, rhs_L, B)
-        _verdict(0, num, den, ctx)  # refuses here, before the sum
-        sums = _zeta_moments(start, N, rec.alternating, D, ctx)
-    if sums is None:  # term by term
+    if L == 1 and T > 0 and delta[0] > 0 and min(delta) >= 0:
+        # every q_k > 0: the weight by the hockey stick
+        weight = sum(d * math.comb(T, j + 1) for j, d in enumerate(delta))
+        floors = T
+    else:
         q = _forward_values(delta, T)
         if rec.alternating:  # (-1)^(k+1): the terms at even k subtract
             q[start % 2::2] = [-qk for qk in q[start % 2::2]]
-        zs = zetas[start - 1:N]
-        if L == 1:  # sum q_k (z_k - 2^B), exact
-            total = sum(map(mul, q, zs)) - sum(q) * one
-        else:
-            total = sum(qk * (z - one) // L for qk, z in zip(q, zs))
+        weight, floors = sum(map(abs, q)), len(q) - q.count(0)
+    num, den = _bound_ratio(tail, weight * zb + floors * L, L, rhs_ulps,
+                            rhs_L, B)
+    _verdict(0, num, den, ctx)  # refuses here, before the sum
+    if L == 1:
+        total = sum(map(mul, delta, _moments(ctx.working_digits, start, N,
+                                             rec.alternating, D)))
     else:
-        total = sum(map(mul, delta, sums))
-    if not positive:
-        ulps = sum(map(abs, q)) * zb + (len(q) - q.count(0)) * L
-        num, den = _bound_ratio(tail, ulps, L, rhs_ulps, rhs_L, B)
+        total = sum(qk * (z - one) // L
+                    for qk, z in zip(q, zetas[start - 1:N]))
     bound, passed = _verdict(abs(total - rhs_total) * (den >> B), num, den,
                              ctx)
     return type(rec)(*rec._values()[:6], Dyadic(total, one),

@@ -18,7 +18,7 @@ from posetoperad.poset import antichain, chain, lex_sum, ordinal_sum
 from posetoperad.series import zigzag_poset
 from posetoperad.zeta import (DEFAULT_CTX, IdentityRecord, PrecisionContext,
                               ZETA_PASSES_KEPT, ZetaExpr, _borwein_weights,
-                              _choose_series_cap, _zeta_pass,
+                              _choose_series_cap, _moments, _zeta_pass,
                               alternating_unit_record,
                               binomial_shift_record, entry22_check,
                               entry22_formula, entry22_oracle,
@@ -648,17 +648,20 @@ def test_forward_differences_match_the_comb_sum_referee_at_high_degree():
                 finite_form_identity(antichain(D), guard=D), ctx)
 
 
-def test_records_off_the_certificate_match_the_comb_sum_referee():
-    # the per-term path: a polynomial with a negative difference at its
-    # start (q(k) = 2 - k, zero at k = 2 and negative past it), and C3
-    # summed from k = 1, where delta_0 = q(1) = 0
+def falling_record():
+    """q(k) = 2 - k: a negative difference at its start, zero at k = 2 and
+    negative past it."""
     falling = BinomialPoly({0: 2, 1: -1})
-    records = [
-        IdentityRecord(lhs_description="sum_{n>=1} (-1)^(n+1) (2 - n) "
-                                       "(zeta(n+1)-1)",
-                       rhs=n_tilde2(falling), lhs_poly=falling,
-                       alternating=True),
-        finite_form_identity(chain(3))._replace(start_index=1)]
+    return IdentityRecord(
+        lhs_description="sum_{n>=1} (-1)^(n+1) (2 - n) (zeta(n+1)-1)",
+        rhs=n_tilde2(falling), lhs_poly=falling, alternating=True)
+
+
+def test_records_off_the_certificate_match_the_comb_sum_referee():
+    # the summed weight: the falling record, and C3 summed from k = 1,
+    # where delta_0 = q(1) = 0
+    records = [falling_record(),
+               finite_form_identity(chain(3))._replace(start_index=1)]
     assert zeta._differences({0: 2, 1: -1}, 1) == [1, -1]
     assert zeta._differences({3: 1}, 1)[0] == 0
     for digits in (30, 40, 200):
@@ -669,22 +672,23 @@ def test_records_off_the_certificate_match_the_comb_sum_referee():
 
 
 def test_moment_sums_match_the_direct_sums(classes_upto_6):
-    # on a fresh pass a record sums its terms, and the pass keeps its key;
-    # the same record again reads the moments: both equal the referee
+    # every class sums from the moments, built on a cleared memo and read
+    # again from it after the passes are evicted: both equal the referee
     ctx = PrecisionContext(working_digits=40)
+    assert _moments.cache_info().maxsize is not None
+    records = [finite_form_identity(P) for size in range(7)
+               for P in classes_upto_6[size]]
+    want = [comb_verify_identity(rec, ctx) for rec in records]
+    _moments.cache_clear()
     try:
-        for size in range(7):
-            for P in classes_upto_6[size]:
-                rec = finite_form_identity(P)
-                _zeta_pass.cache_clear()
-                direct = verify_identity(rec, ctx)
-                moments = verify_identity(rec, ctx)
-                assert direct == moments == comb_verify_identity(rec, ctx), P
-                sums = _zeta_pass(40).moment_sums
-                assert [len(u) for u in sums.values()] == \
-                    [rec.lhs_poly.max_index() + 1], P
+        assert [verify_identity(rec, ctx) for rec in records] == want
+        _zeta_pass.cache_clear()
+        hits = _moments.cache_info().hits
+        assert [verify_identity(rec, ctx) for rec in records] == want
+        assert _moments.cache_info().hits - hits == len(records)
     finally:
         _zeta_pass.cache_clear()
+        _moments.cache_clear()
 
 
 def test_closed_form_weight_matches_the_summed_weight(classes_upto_6):
@@ -714,7 +718,7 @@ def test_the_bound_refuses_before_the_sum(monkeypatch):
     # neither the terms nor the pass's moments
     def no_moments(*args):
         raise AssertionError("the moments were read")
-    monkeypatch.setattr(zeta, "_zeta_moments", no_moments)
+    monkeypatch.setattr(zeta, "_moments", no_moments)
     monkeypatch.setattr(zeta, "_forward_values", no_moments)
     rec = finite_form_identity(antichain(500), guard=500)
     ctx = PrecisionContext(series_term_cap=10 ** 8)
@@ -723,9 +727,26 @@ def test_the_bound_refuses_before_the_sum(monkeypatch):
         verify_identity(rec, ctx)
 
 
+def test_a_record_off_the_certificate_refuses_before_the_sum(monkeypatch):
+    # the falling record at one digit: its weight is summed from its
+    # signed values, and the bound is refused with the referee's message
+    # before the moments are read
+    rec = falling_record()
+    ctx = PrecisionContext(working_digits=1)
+    with pytest.raises(PrecisionUnachievable) as want:
+        comb_verify_identity(rec, ctx)
+
+    def no_moments(*args):
+        raise AssertionError("the moments were read")
+    monkeypatch.setattr(zeta, "_moments", no_moments)
+    with pytest.raises(PrecisionUnachievable,
+                       match=re.escape(str(want.value))):
+        verify_identity(rec, ctx)
+
+
 def test_a_moved_constant_fails_on_both_paths(monkeypatch):
     # n_tilde2's constant moved by 2^-30: A3 (the moments) and the
-    # fractional record (L = 21, term by term) both FAIL
+    # fractional record (L = 21, term by term) both FAIL, twice
     true_n_tilde2 = zeta.n_tilde2
 
     def shifted(p):
@@ -738,7 +759,6 @@ def test_a_moved_constant_fails_on_both_paths(monkeypatch):
                frac._replace(rhs=zeta.n_tilde2(frac.lhs_poly))]
     _zeta_pass.cache_clear()
     for rec in records:
-        # A3 sums its terms once, then reads the moments
         got = [verify_identity(rec) for _ in range(2)]
         assert got[0].passed is False, rec.lhs_description
         assert got == [comb_verify_identity(rec, DEFAULT_CTX)] * 2
