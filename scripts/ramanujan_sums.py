@@ -5,7 +5,7 @@ and ratios, cross-checked against direct partial summation."""
 from fractions import Fraction
 
 from posetoperad.dsl import parse_poset
-from posetoperad.zeta import inverse_power_sum, inverse_power_sum_partial
+from posetoperad.series import inverse_power_sum, inverse_power_sum_partial
 
 CASES = [
     ("A5", 2, "strict"),        # sum k^5 / 2^k

@@ -25,11 +25,12 @@ _EXPORTS = {
                "hadamard", "inverse_power_sum", "iota",
                "operad_eval_series", "ordinal_mul", "series_of",
                "series_identity_check", "zigzag_poset"),
+    "suite": ("alternating_unit_record", "binomial_shift_record",
+              "goldbach_record"),
     "zeta": ("IdentityRecord", "PrecisionContext", "ZetaExpr",
-             "alternating_unit_record", "binomial_shift_record",
-             "entry22_check", "finite_form_identity", "goldbach_record",
-             "n_tilde", "n_tilde2", "operad_eval_zeta", "verify_identity",
-             "zeta_number", "zeta_value", "zhat"),
+             "entry22_check", "finite_form_identity", "n_tilde", "n_tilde2",
+             "operad_eval_zeta", "verify_identity", "zeta_number",
+             "zeta_value", "zhat"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

@@ -10,7 +10,8 @@ the tolerance, or stdout closed early), 2 usage or parse error,
 
 Start-up stays proportional to the subcommand: module scope imports what
 every path needs, and each command imports the rest when it runs, so
-``poly`` never loads the zeta layer.
+``poly`` never loads the zeta layer.  This module keeps only the command
+surface; the ``verify-suite`` cases live in :mod:`posetoperad.suite`.
 """
 
 from __future__ import annotations
@@ -35,20 +36,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
-
-_FIG2_ROWS = (
-    ("{x<y<z<w}", {4: 1}),
-    ("{x<y<z,w}", {3: 3, 4: 4}),
-    ("{x<y,z<w}", {2: 1, 3: 6, 4: 6}),
-    ("{x<y,x<z,x<w}", {2: 1, 3: 6, 4: 6}),
-    ("{y<x,z<x,w<x}", {2: 1, 3: 6, 4: 6}),
-    ("{x,y,z<w}", {2: 4, 3: 15, 4: 12}),
-    ("{x,y,z,w}", {1: 1, 2: 14, 3: 36, 4: 24}),
-    ("{x<y,y>z,w}", {2: 2, 3: 9, 4: 8}),
-    ("{x,y>z,z<w}", {2: 2, 3: 9, 4: 8}),
-    ("{x<y,z<y,z<w}", {2: 1, 3: 5, 4: 5}),
-)
-
 
 def _arg_type(convert, ok, requirement):
     """argparse type: convert the text, then require ok(value)."""
@@ -267,73 +254,10 @@ def _cmd_tables(args):
     return EXIT_OK
 
 
-def _suite_cases(args):
-    """The identity battery as (case id, run) pairs, sorted by id, which is
-    the report order."""
-    from functools import partial
-
-    from .counting import reciprocity_check
-    from .discrepancies import known_discrepancies
-    from .poset import antichain, chain
-    from .series import series_of
-    from .zeta import (alternating_unit_record, binomial_shift_record,
-                       entry22_check, goldbach_record, nstr, verify_identity)
-    ctx = _ctx(args)
-    cases = []
-
-    for idx, (text, expected) in enumerate(_FIG2_ROWS):
-        def run(text=text, expected=expected):
-            S = series_of(resolve(parse_expr(text)), "strict", args.guard)
-            got = {i: int(v) for i, v in S.coeffs.items()}
-            ok = got == expected
-            return ("PASS" if ok else "FAIL",
-                    f"{text} -> {S.render()}")
-        cases.append((f"quaternary-table:{idx:02d}", run))
-
-    # the reciprocity corpus, as (tag, poset)
-    corpus = [(f"C{n}", chain(n)) for n in range(2, 7)]
-    corpus += [(f"A{n}", antichain(n)) for n in range(2, 7)]
-    corpus += [(t, resolve(parse_expr(t))) for t, _ in _FIG2_ROWS[:7]]
-    for tag, P in corpus:
-        def run(P=P):
-            rep = reciprocity_check(P, args.guard)
-            return ("PASS" if rep.passed else "FAIL",
-                    f"reciprocity on {P.relation_string()}")
-        cases.append((f"reciprocity:{tag}", run))
-
-    # the certified sums, as (case id, check, label): check() returns a
-    # verified IdentityRecord
-    def verified(build, *params):
-        return lambda: verify_identity(build(*params), ctx)
-
-    sums = [("goldbach:unit", verified(goldbach_record), "sum(zeta(n)-1)"),
-            ("goldbach:alternating", verified(alternating_unit_record),
-             "alternating sum")]
-    sums += [(f"binomial-shift:k={k}", verified(binomial_shift_record, k),
-              f"k={k}: lhs") for k in range(1, 7)]
-    sums += [(f"inverse-product:k={k}", partial(entry22_check, k, ctx),
-              f"k={k}: lhs") for k in (2, 3, 4)]
-
-    def certify(check, label):
-        rec = check()
-        return ("PASS" if rec.passed else "FAIL",
-                f"{label} ~ {nstr(rec.lhs_numeric, 15)}")
-    cases += [(case_id, partial(certify, check, label))
-              for case_id, check, label in sums]
-
-    for disc in known_discrepancies():
-        def run(disc=disc):
-            status = "FLAG" if disc.confirmed else "FAIL"
-            return (status,
-                    f"published: {disc.published} | derived: {disc.derived}")
-        cases.append((f"discrepancy:{disc.case_id}", run))
-
-    return sorted(cases)
-
-
 def _cmd_verify_suite(args):
+    from .suite import suite_cases
     results = []
-    for case_id, run in _suite_cases(args):
+    for case_id, run in suite_cases(_ctx(args), args.guard):
         try:
             status, detail = run()
         except PrecisionUnachievable as e:  # this case fails; the rest run

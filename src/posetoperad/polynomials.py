@@ -286,7 +286,8 @@ def eulerian_rows(n):
 
 def stirling2(n, k):
     """Stirling number of the second kind S(n, k); 0 unless 0 <= k <= n."""
-    return deque(stirling_rows(n), maxlen=1)[0][k] if 0 <= k <= n else 0
+    terms = ((-1) ** (k - j) * comb(k, j) * j ** n for j in range(k + 1))
+    return sum(terms) // factorial(k) if 0 <= k <= n else 0
 
 
 def eulerian_number(n, i):

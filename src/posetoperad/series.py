@@ -1,6 +1,6 @@
 """Order series over the inclusion-exclusion basis, with Hadamard and
 ordinal products, the strict/weak involution, the operadic action, and
-exact inverse-power sums.
+exact inverse-power sums with their direct partial-sum referee.
 
 A strict series is a coefficient vector over Z_i = x^i/(1-x)^(i+1), a weak
 series over Z+_i = x/(1-x)^(i+1); index 0 holds the units 1/(1-x) and
@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .counting import (DEFAULT_GUARD, check_guard, order_polynomial,
-                       substitute_coeffs)
+from .counting import (DEFAULT_GUARD, check_guard, count_maps,
+                       order_polynomial, substitute_coeffs)
 from .errors import (ArityMismatch, DivergentParameter, MissingProvenance,
                      ModeMismatch, PosetOperadError, Record, UnknownIdentity)
 from .polynomials import (MonomialPoly, SparseVec, clean_coeffs, cup_coeffs,
@@ -101,6 +101,26 @@ def inverse_power_sum(P, r, mode=STRICT, guard=DEFAULT_GUARD):
     if abs(r) <= 1:
         raise DivergentParameter(f"need |r| > 1, got {r}")
     return series_of(P, mode, guard).eval_at(1 / r)
+
+
+def inverse_power_sum_partial(P, r, terms, mode=STRICT, guard=DEFAULT_GUARD):
+    """Direct partial sum with an exact geometric tail majorant; returns
+    (partial, tail_bound).  A referee for the tests, public because
+    ``scripts/ramanujan_sums.py`` checks each exact sum against it."""
+    r = Fraction(r)
+    if abs(r) <= 1:
+        raise DivergentParameter(f"need |r| > 1, got {r}")
+    total = Fraction(0)
+    start = 1 if mode == WEAK else 0  # weak series sum from n = 1
+    for n in range(start, terms + 1):
+        total += Fraction(count_maps(P, n, mode, guard)) / r ** n
+    k = len(P)
+    growth = Fraction((terms + 2) ** k, (terms + 1) ** k)
+    q = growth / abs(r)
+    if q >= 1:
+        raise DivergentParameter("not enough terms for a geometric majorant")
+    first = Fraction((terms + 1) ** k) / abs(r) ** (terms + 1)
+    return total, first / (1 - q)
 
 
 class ClosedForm(Record):

@@ -1,5 +1,5 @@
-"""High-precision zeta values, the binomial-to-zeta linear maps, finite-form
-identity generation, exact inverse-power sums, and numeric verification.
+"""The zeta engine: high-precision zeta values, the binomial-to-zeta linear
+maps, finite-form identity generation and numeric verification.
 
 Exactness split: every ZetaExpr is exact rational data.  The numeric layer
 runs on Python integers only.  zeta(s) comes from Borwein's alternating
@@ -24,15 +24,21 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .counting import DEFAULT_GUARD, count_maps, order_polynomial
+from .counting import DEFAULT_GUARD, order_polynomial
 from .errors import (MAX_DIGITS, MAX_DIRECT_TERMS, ArityMismatch,
                      DivergentParameter, MissingProvenance, PosetOperadError,
                      PrecisionUnachievable, Record)
-from .polynomials import BinomialPoly, SparseVec, binomial, render_sum
+from .polynomials import SparseVec, binomial, render_sum
 from .poset import chain, lex_sum
-# inverse_power_sum lives in series, next to SeriesVec.eval_at; it is bound
-# here too, so `from posetoperad.zeta import inverse_power_sum` keeps working
-from .series import inverse_power_sum
+
+
+def __getattr__(name):
+    # zeta.inverse_power_sum, from series on first use so that zeta loads no
+    # series: only perfbench/tracer.py wraps it here; it goes with the tracer
+    if name == "inverse_power_sum":
+        from .series import inverse_power_sum
+        return inverse_power_sum
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PrecisionContext(Record):
@@ -632,51 +638,6 @@ def finite_form_identity(P, guard=DEFAULT_GUARD):
             f"(zeta(k+1)-1)")
     return IdentityRecord(desc, n_tilde2(poly), P, poly, True, r0, None, None,
                           None, None, ())
-
-
-def inverse_power_sum_partial(P, r, terms, mode="strict", guard=DEFAULT_GUARD):
-    """Direct partial sum with an exact geometric tail majorant; returns
-    (partial, tail_bound).  A referee for the tests, public because
-    ``scripts/ramanujan_sums.py`` checks each exact sum against it."""
-    r = Fraction(r)
-    if abs(r) <= 1:
-        raise DivergentParameter(f"need |r| > 1, got {r}")
-    total = Fraction(0)
-    start = 1 if mode == "weak" else 0  # weak series sum from n = 1
-    for n in range(start, terms + 1):
-        total += Fraction(count_maps(P, n, mode, guard)) / r ** n
-    k = len(P)
-    growth = Fraction((terms + 2) ** k, (terms + 1) ** k)
-    q = growth / abs(r)
-    if q >= 1:
-        raise DivergentParameter("not enough terms for a geometric majorant")
-    first = Fraction((terms + 1) ** k) / abs(r) ** (terms + 1)
-    return total, first / (1 - q)
-
-
-def goldbach_record():
-    """sum_{n>=2} (zeta(n)-1) = 1."""
-    return IdentityRecord(
-        lhs_description="sum_{n>=2} (zeta(n)-1)",
-        rhs=ZetaExpr.make(1), lhs_poly=BinomialPoly({0: 1}),
-        alternating=False)
-
-
-def alternating_unit_record():
-    """sum_{n>=1} (-1)^(n+1) (zeta(n+1)-1) = 1/2."""
-    return IdentityRecord(
-        lhs_description="sum_{n>=1} (-1)^(n+1) (zeta(n+1)-1)",
-        rhs=ZetaExpr.make(Fraction(1, 2)), lhs_poly=BinomialPoly({0: 1}),
-        alternating=True)
-
-
-def binomial_shift_record(k):
-    """sum_{n>=k} (-1)^(n+1) C(n,k) (zeta(n+1)-1)
-    = (-1)^(k+1)(zeta(k+1)-1-2^-(k+1))."""
-    poly = BinomialPoly({k: 1})
-    return IdentityRecord(
-        lhs_description=f"sum_{{n>={k}}} (-1)^(n+1) C(n,{k}) (zeta(n+1)-1)",
-        rhs=n_tilde2(poly), lhs_poly=poly, alternating=True, start_index=k)
 
 
 def _inverse_square_partial_fractions(k):

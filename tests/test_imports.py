@@ -34,15 +34,16 @@ EXPORTS = {
                "hadamard", "inverse_power_sum", "iota",
                "operad_eval_series", "ordinal_mul", "series_of",
                "series_identity_check", "zigzag_poset"],
+    "suite": ["alternating_unit_record", "binomial_shift_record",
+              "goldbach_record"],
     "zeta": ["IdentityRecord", "PrecisionContext", "ZetaExpr",
-             "alternating_unit_record", "binomial_shift_record",
-             "entry22_check", "finite_form_identity", "goldbach_record",
-             "n_tilde", "n_tilde2", "operad_eval_zeta", "verify_identity",
-             "zeta_number", "zeta_value", "zhat"],
+             "entry22_check", "finite_form_identity", "n_tilde", "n_tilde2",
+             "operad_eval_zeta", "verify_identity", "zeta_number",
+             "zeta_value", "zhat"],
 }
 NAMES = sorted(n for names in EXPORTS.values() for n in names)
 
-NUMERIC = ["mpmath", "posetoperad.zeta", "posetoperad.discrepancies",
+NUMERIC = ["mpmath", "posetoperad.zeta", "posetoperad.suite",
            "posetoperad.catalog"]
 
 
@@ -61,6 +62,13 @@ def _loaded_after(code):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _main(argv):
+    """Code that runs the CLI on argv, which must exit 0, output muted."""
+    return ("import contextlib, io\nfrom posetoperad import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n")
 
 
 def test_all_lists_the_exports():
@@ -117,10 +125,7 @@ def test_name_access_loads_its_module_only():
     ["tropical", "{x<y>z<w}", "--lengths", "2,3,1,4"],
 ])
 def test_commands_without_numerics_load_no_numeric_module(argv):
-    code = ("import contextlib, io\nfrom posetoperad import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({argv!r}) == 0\n")
-    loaded = _loaded_after(code)
+    loaded = _loaded_after(_main(argv))
     assert not loaded & set(NUMERIC), loaded
     assert not loaded & HEAVY, loaded
     if argv[0] not in ("series", "inverse-sum"):
@@ -132,10 +137,7 @@ def test_commands_without_numerics_load_no_numeric_module(argv):
     ["--digits", "30", "verify-suite"],
 ])
 def test_numeric_commands_load_no_mpmath(argv):
-    code = ("import contextlib, io\nfrom posetoperad import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({argv!r}) == 0\n")
-    loaded = _loaded_after(code)
+    loaded = _loaded_after(_main(argv))
     assert "posetoperad.zeta" in loaded
     assert not {m for m in loaded if m.split(".")[0] == "mpmath"}, loaded
     assert not loaded & HEAVY, loaded
@@ -180,3 +182,53 @@ def test_cli_import_and_parser_load_no_dataclasses():
     assert "posetoperad.cli" in loaded
     assert not loaded & HEAVY, loaded
     assert "posetoperad.schema" not in loaded, loaded
+
+
+# the package modules each command loads, and a ceiling on the bytes of
+# source they hold, which a cold process compiles: about 2 % above today's
+# size, so a module that starts loading, or grows, shows here as a diff
+BASE = {"posetoperad", "posetoperad.cli", "posetoperad.counting",
+        "posetoperad.dsl", "posetoperad.errors", "posetoperad.polynomials",
+        "posetoperad.poset"}
+SERIES = BASE | {"posetoperad.series"}
+CEILING_BASE, CEILING_SERIES = 67_400, 81_500
+CEILING_ZETA, CEILING_SUITE = 97_700, 120_000
+FOOTPRINTS = [
+    pytest.param(None, BASE, CEILING_BASE, id="parser"),
+    pytest.param(["poly", "{x<y,z<y,z<w}"], BASE, CEILING_BASE, id="poly"),
+    pytest.param(["series", "C2|C1", "--weak"], SERIES, CEILING_SERIES,
+                 id="series"),
+    pytest.param(["eval", "A3", "--at", "3"], BASE, CEILING_BASE, id="eval"),
+    pytest.param(["inverse-sum", "A2", "--r=3"], SERIES, CEILING_SERIES,
+                 id="inverse-sum"),
+    pytest.param(["tables", "--eulerian", "4"], BASE, CEILING_BASE,
+                 id="tables"),
+    pytest.param(["tropical", "{x<y>z<w}", "--lengths", "2,3,1,4"], BASE,
+                 CEILING_BASE, id="tropical"),
+    pytest.param(["--digits", "30", "zeta-identity", "A3"],
+                 BASE | {"posetoperad.zeta"}, CEILING_ZETA,
+                 id="zeta-identity"),
+    pytest.param(["--digits", "30", "verify-suite"],
+                 SERIES | {"posetoperad.suite", "posetoperad.zeta"},
+                 CEILING_SUITE, id="verify-suite"),
+]
+
+
+@pytest.mark.parametrize("argv,modules,ceiling", FOOTPRINTS)
+def test_each_command_compiles_only_what_it_runs(argv, modules, ceiling):
+    # no argv: the CLI's set-up, its import and its parser
+    code = ("import posetoperad.cli\nposetoperad.cli.build_parser()\n"
+            if argv is None else _main(argv))
+    loaded = {m for m in _loaded_after(code) if m.split(".")[0] ==
+              "posetoperad"}
+    assert loaded == modules
+    size = sum(Path(importlib.import_module(m).__file__).stat().st_size
+               for m in loaded)
+    assert size <= ceiling, size
+
+
+def test_the_battery_has_one_home():
+    assert _loaded_after("import posetoperad.zeta") == (
+        BASE - {"posetoperad.cli", "posetoperad.dsl"} | {"posetoperad.zeta"})
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("posetoperad.discrepancies")

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+import posetoperad
 from posetoperad.errors import IndexOutOfRange, ModeMismatch
 from posetoperad.polynomials import (BinomialPoly, MonomialPoly,
                                      bernoulli_number, binomial, cup_coeffs,
@@ -58,8 +63,26 @@ def test_rows_match_the_explicit_sums():
     for n, row in enumerate(rows):
         assert row == [explicit_stirling2(n, k) for k in range(n + 1)], n
     assert list(eulerian_rows(0)) == []
-    # one value reads the last of 601 rows, with no recursion
+    # one value far down the triangle
     assert stirling2(600, 300) == explicit_stirling2(600, 300)
+
+
+def test_stirling2_matches_the_rows():
+    rows = list(stirling_rows(80))
+    for n, row in enumerate(rows):
+        assert [stirling2(n, k) for k in range(-1, n + 3)] == \
+            [0, *row, 0, 0], n
+
+
+def test_stirling2_reads_only_what_it_needs():
+    # S(3000, 3) in closed form; building all 3,001 rows took about 7 s
+    code = ("from posetoperad.polynomials import stirling2\n"
+            "assert stirling2(3000, 3) == (3**3000 - 3 * 2**3000 + 3) // 6\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(posetoperad.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_eulerian_row_sums_and_errors():

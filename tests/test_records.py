@@ -9,13 +9,13 @@ import pickle
 import pytest
 
 from posetoperad.counting import DVector, ReciprocityReport, order_polynomial
-from posetoperad.discrepancies import Discrepancy
 from posetoperad.dsl import (AntichainLit, ChainLit, HasseLit, LexApply,
                              OrdinalSum, Union, _Tok)
 from posetoperad.errors import PosetOperadError, Record
 from posetoperad.polynomials import BinomialPoly
 from posetoperad.poset import antichain, chain
 from posetoperad.series import ClosedForm, SeriesIdentityReport
+from posetoperad.suite import Discrepancy
 from posetoperad.zeta import IdentityRecord, PrecisionContext, ZetaExpr
 
 from oracles import NestedSumReport

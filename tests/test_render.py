@@ -10,10 +10,10 @@ import mpmath
 from mpmath.libmp import from_man_exp
 
 from posetoperad.poset import antichain, chain
-from posetoperad.zeta import (Dyadic, PrecisionContext,
-                              alternating_unit_record, binomial_shift_record,
-                              entry22_check, finite_form_identity,
-                              goldbach_record, nstr, verify_identity)
+from posetoperad.suite import (alternating_unit_record, binomial_shift_record,
+                               goldbach_record)
+from posetoperad.zeta import (Dyadic, PrecisionContext, entry22_check,
+                              finite_form_identity, nstr, verify_identity)
 
 DIGITS = (15, 20, 25, 35)
 

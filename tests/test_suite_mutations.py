@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from posetoperad import cli, counting, discrepancies, zeta
+from posetoperad import cli, counting, suite, zeta
 from posetoperad.counting import DVector
 
 CASE_IDS = (
@@ -63,28 +63,28 @@ def test_suite_case_list_is_pinned(capsys):
 
 
 def corrupt_unit_evaluation(monkeypatch):
-    rows = list(cli._FIG2_ROWS)
+    rows = list(suite._FIG2_ROWS)
     text, expected = rows[3]
     rows[3] = (text, {**expected, 4: expected[4] + 1})
-    monkeypatch.setattr(cli, "_FIG2_ROWS", tuple(rows))
+    monkeypatch.setattr(suite, "_FIG2_ROWS", tuple(rows))
 
 
 def corrupt_goldbach(monkeypatch):
-    build = zeta.goldbach_record
+    build = suite.goldbach_record
 
     def patched():
         rec = build()
         return rec._replace(rhs=rec.rhs + NUDGE)
-    monkeypatch.setattr(zeta, "goldbach_record", patched)
+    monkeypatch.setattr(suite, "goldbach_record", patched)
 
 
 def corrupt_binomial_shift(monkeypatch):
-    build = zeta.binomial_shift_record
+    build = suite.binomial_shift_record
 
     def patched(k):
         rec = build(k)
         return rec._replace(rhs=rec.rhs + NUDGE) if k == 3 else rec
-    monkeypatch.setattr(zeta, "binomial_shift_record", patched)
+    monkeypatch.setattr(suite, "binomial_shift_record", patched)
 
 
 def corrupt_entry22_formula(monkeypatch):
@@ -102,15 +102,15 @@ def corrupt_entry22_formula(monkeypatch):
 
 def corrupt_discrepancy_check(monkeypatch):
     # the reciprocity check that confirms the low-order index
-    check = discrepancies.reciprocity_check
-    monkeypatch.setattr(discrepancies, "reciprocity_check",
+    check = suite.reciprocity_check
+    monkeypatch.setattr(suite, "reciprocity_check",
                         lambda P: check(P)._replace(passed=False))
 
 
 def corrupt_stirling2(monkeypatch):
     # S(4, 2) = 7 read as 8: the corrected expansion no longer holds at n = 4
-    true_stirling2 = discrepancies.stirling2
-    monkeypatch.setattr(discrepancies, "stirling2",
+    true_stirling2 = suite.stirling2
+    monkeypatch.setattr(suite, "stirling2",
                         lambda n, k: true_stirling2(n, k) + ((n, k) == (4, 2)))
 
 
@@ -127,13 +127,13 @@ def corrupt_d_vector(monkeypatch):
 def corrupt_operad_eval_zeta(monkeypatch):
     # one coefficient of the zigzag's zeta-side evaluation moved: zhat_4
     # read as -7, not -8
-    true_eval = discrepancies.operad_eval_zeta
+    true_eval = suite.operad_eval_zeta
 
     def patched(P, args):
         expr = true_eval(P, args)
         return zeta.ZetaExpr({**expr.coeffs, 4: expr.coeff(4) + 1},
                              expr.provenance)
-    monkeypatch.setattr(discrepancies, "operad_eval_zeta", patched)
+    monkeypatch.setattr(suite, "operad_eval_zeta", patched)
 
 
 MUTATIONS = [

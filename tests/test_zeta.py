@@ -15,17 +15,17 @@ from posetoperad.errors import (MAX_DIGITS, ArityMismatch, DivergentParameter,
                                 MissingProvenance, PrecisionUnachievable)
 from posetoperad.polynomials import BinomialPoly, bernoulli_number
 from posetoperad.poset import antichain, chain, lex_sum, ordinal_sum
-from posetoperad.series import zigzag_poset
+from posetoperad.series import (inverse_power_sum, inverse_power_sum_partial,
+                                zigzag_poset)
+from posetoperad.suite import (alternating_unit_record, binomial_shift_record,
+                               goldbach_record)
 from posetoperad.zeta import (DEFAULT_CTX, IdentityRecord, PrecisionContext,
                               ZETA_PASSES_KEPT, ZetaExpr, _borwein_weights,
                               _choose_series_cap, _moments, _zeta_pass,
-                              alternating_unit_record,
-                              binomial_shift_record, entry22_check,
-                              entry22_formula, entry22_oracle,
-                              finite_form_identity, goldbach_record,
-                              inverse_power_sum, inverse_power_sum_partial,
-                              n_tilde, n_tilde2, operad_eval_zeta,
-                              verify_identity, zeta_number, zeta_value, zhat)
+                              entry22_check, entry22_formula, entry22_oracle,
+                              finite_form_identity, n_tilde, n_tilde2,
+                              operad_eval_zeta, verify_identity, zeta_number,
+                              zeta_value, zhat)
 
 from oracles import (comb_verify_identity, fraction_series_cap,
                      fraction_verify_identity, x_power)
