@@ -7,6 +7,7 @@ and diff the two outputs: equal hashes mean byte-identical command output.
 
     PYTHONPATH=src python scripts/replay_outputs.py            # all groups
     PYTHONPATH=src python scripts/replay_outputs.py commands   # one group
+    PYTHONPATH=src python scripts/replay_outputs.py corpus8 --lines out.txt
 
 Groups: ``readme`` (the README examples), ``commands`` (every subcommand,
 usage errors, unknown names and the guard, in both formats),
@@ -15,15 +16,27 @@ usage errors, unknown names and the guard, in both formats),
 to 5 elements, both formats), ``series`` (``series`` in both modes on
 every poset class of 0 to 6 elements, both formats) and ``limits`` (inputs
 at and past the size ceilings, both formats).
+
+One group, ``corpus8``, calls the API instead of the CLI: one line per poset
+class of 0 to 8 elements, in catalogue order, holding its canonical key, its
+d-vector, its finite-form identity verified at 40 digits (RHS, bound and
+pass), its reciprocity verdict and its weak closed form.  Its hash is the
+SHA-256 of those lines; ``--lines PATH`` writes them, so that a diff of two
+trees' files names the first class that moved.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
-import sys
+from pathlib import Path
 
 from posetoperad import cli
-from posetoperad.catalog import iso_classes
+from posetoperad.catalog import canonical_key, iso_classes
+from posetoperad.counting import d_vector, reciprocity_check
+from posetoperad.series import closed_form, series_of
+from posetoperad.zeta import (PrecisionContext, finite_form_identity,
+                              verify_identity)
 
 FORMATS = (["--format", "human"], ["--format", "json"])
 
@@ -136,14 +149,57 @@ def group_hash(jobs):
     return h.hexdigest()
 
 
-def main(names=()):
+CORPUS_CTX = PrecisionContext(working_digits=40)
+
+
+def corpus_line(P, full=True):
+    """The corpus8 line of the class P.  Without ``full``, only its below
+    masks, its d-vector and its identity's pass flag: the cheap slice that
+    the tests pin on the classes of 7 elements."""
+    rec = verify_identity(finite_form_identity(P), CORPUS_CTX)
+    d = d_vector(P).d
+    if not full:
+        masks = tuple(map(P.below_mask, range(len(P))))
+        return f"{masks} d={d} pass={rec.passed}"
+    form = closed_form(series_of(P, "weak"))
+    weak = ",".join(map(str, form.numerator))
+    return (f"{canonical_key(P)} d={d} rhs={rec.rhs.render()} "
+            f"bound={rec.error_bound!r} pass={rec.passed} "
+            f"reciprocity={reciprocity_check(P).passed} "
+            f"weak=({weak})/(1-x)^{form.den_power}")
+
+
+def corpus_lines(sizes, full=True):
+    """The corpus lines of every class of each size, in catalogue order,
+    each led by its size and index and ended by a newline."""
+    for n in sizes:
+        for i, P in enumerate(iso_classes(n)):
+            yield f"{n}.{i} {corpus_line(P, full)}\n"
+
+
+def main():
     table = groups()
-    unknown = [n for n in names if n not in table]
+    ap = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    ap.add_argument("groups", nargs="*", metavar="group",
+                    help=f"groups to run (default all): {', '.join(table)}, "
+                         f"corpus8")
+    ap.add_argument("--lines", metavar="PATH",
+                    help="write corpus8's per-class lines to PATH")
+    args = ap.parse_args()
+    unknown = [n for n in args.groups if n not in table and n != "corpus8"]
     if unknown:
-        sys.exit(f"unknown group(s) {unknown}; known: {sorted(table)}")
-    for name in names or table:
-        print(f"{group_hash(table[name])}  {name} ({len(table[name])} jobs)")
+        ap.error(f"unknown group(s) {unknown}")
+    for name in args.groups or [*table, "corpus8"]:
+        if name == "corpus8":
+            lines = list(corpus_lines(range(9)))
+            if args.lines:
+                Path(args.lines).write_text("".join(lines))
+            digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+            print(f"{digest}  corpus8 ({len(lines)} classes)")
+        else:
+            print(f"{group_hash(table[name])}  {name} "
+                  f"({len(table[name])} jobs)")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

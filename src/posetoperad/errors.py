@@ -9,9 +9,6 @@ from operator import attrgetter
 # CLI exits 2: a zeta pass holds about 1.2 d^2 bytes (120 MB at 10^4 digits)
 MAX_DIGITS = 10_000
 
-# zeta.entry22_check refuses longer direct sums; 10^7 terms take about 5 s
-MAX_DIRECT_TERMS = 10_000_000
-
 # sets a Record field past the frozen __setattr__
 _set = object.__setattr__
 

@@ -4,15 +4,15 @@ maps, finite-form identity generation and numeric verification.
 Exactness split: every ZetaExpr is exact rational data.  The numeric layer
 runs on Python integers only.  zeta(s) comes from Borwein's alternating
 series ("An efficient algorithm for the Riemann zeta function", 2000) in
-B-bit fixed point, one pass shared by every s.  The verification sums, the
-direct sum in entry22_check and the decimal rendering work on the same
-integers, so every value is an exact Dyadic, every bound is an exact sum
-that counts its floors, rounded up to a float once, PASS is an exact
-rational comparison.  The shared state is two bounded memos: the zeta
-passes, read under a lock, and the identity sums' moments, pure functions
-of the passes' integers built outside it; the layer is safe to call from
-several threads.  mpmath is not needed; a Dyadic exposes ``_mpf_`` so that
-mpmath code can read it.
+B-bit fixed point, one pass shared by every s.  The verification sums
+(entry22_check's inverse-product sums among them) and the decimal rendering
+work on the same integers, so every value is an exact Dyadic, every bound
+is an exact sum that counts its floors, rounded up to a float once, PASS is
+an exact rational comparison.  The shared state is two bounded memos: the
+zeta passes, read under a lock, and the identity sums' moments, pure
+functions of the passes' integers built outside it; the layer is safe to
+call from several threads.  mpmath is not needed; a Dyadic exposes
+``_mpf_`` so that mpmath code can read it.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from itertools import accumulate
 from operator import mul
 
 from .counting import DEFAULT_GUARD, order_polynomial
-from .errors import (MAX_DIGITS, MAX_DIRECT_TERMS, ArityMismatch,
-                     DivergentParameter, MissingProvenance, PosetOperadError,
+from .errors import (MAX_DIGITS, ArityMismatch, DivergentParameter,
+                     MissingProvenance, PosetOperadError,
                      PrecisionUnachievable, Record)
-from .polynomials import SparseVec, binomial, render_sum
+from .polynomials import BinomialPoly, SparseVec, binomial, render_sum
 from .poset import chain, lex_sum
 
 
@@ -368,15 +368,6 @@ class ZetaExpr(SparseVec):
     def __repr__(self):
         return f"ZetaExpr({self.render()})"
 
-    def eval_numeric(self, ctx=DEFAULT_CTX):
-        """(Dyadic value, exact error bound) at the zeta kernel's B bits,
-        from ``fixed_point``."""
-        B = _borwein_size(ctx.working_digits)[1]
-        top = self.max_index()
-        zetas, zb = _zeta_integers(2, top + 1, ctx) if top else ((), 0)
-        total, ulps, L = self.fixed_point(zetas, zb, B)
-        return Dyadic(total, 1 << B), Fraction(ulps, L << B)
-
     def fixed_point(self, zetas, zb, B):
         """(total, ulps, L): the value is total / 2^B and its bound ulps /
         (L 2^B), zetas[s - 2] = floor(zeta(s) 2^B) with bound zb ulps.  The
@@ -677,38 +668,33 @@ def entry22_formula(k):
     return ZetaExpr.make(constant, coeffs)
 
 
-def entry22_check(k, ctx=DEFAULT_CTX):
-    """Compare the direct sum of 1/(n^k (n+1)^k), in integer fixed point,
-    against the printed zeta combination; on mismatch the telescoping-oracle
-    value is attached."""
+def _entry22_record(k):
+    """sum_(n>=1) 1/(n^k (n+1)^k) less its n = 1 term 2^-k, as a zeta-shift
+    series: for n >= 2, (1 + 1/n)^-k = sum_j C(-k, j) n^-j, so the rest is
+    sum_(m>=2k-1) (-1)^(m+1) C(m-k, k-1) (zeta(m+1)-1), and by Vandermonde
+    C(m-k, k-1) = sum_i C(-k, k-1-i) C(m, i).  Its forward differences at
+    2k - 1 are C(k-1, k-1-j) >= 0, the first 1: the hockey-stick route."""
     if k < 2:
         raise ValueError("entry22_check needs k >= 2")
-    formula = entry22_formula(k)
-    oracle = entry22_oracle(k)
-    tol = ctx.verify_tolerance
-    # integral tail: sum_{n>M} n^-2k < M^(1-2k)/(2k-1), at most tol/4 for
-    # the least M with M^e >= need, e = 2k-1, need = ceil(4/(e tol))
-    e = 2 * k - 1
-    need = math.ceil(4 / (e * Fraction(tol)))
-    if need > MAX_DIRECT_TERMS ** e:
-        raise PrecisionUnachievable(
-            f"tolerance {tol:.3e} needs more than {MAX_DIRECT_TERMS} terms "
-            f"of the direct sum for k={k}")
-    M = round(need ** (1 / e))  # within 1 of the root below the ceiling
-    M = max(64, M + (M ** e < need) - ((M - 1) ** e >= need))
-    # fixed point: one floor per term, M ulps in all
-    B = _dps_to_prec(ctx.working_digits + _GUARD_DIGITS) + M.bit_length()
-    one = 1 << B
-    total = Dyadic(sum(one // (n * (n + 1)) ** k for n in range(1, M + 1)), one)
-    tail = Fraction(1, (2 * k - 1) * M ** (2 * k - 1))
-    rhs_val, rhs_bound = formula.eval_numeric(ctx)
-    gap, bound = abs(total - rhs_val), tail + Fraction(M, one) + rhs_bound
-    bound, passed = _verdict(gap.numerator * bound.denominator,
-                             bound.numerator * gap.denominator,
-                             bound.denominator * gap.denominator, ctx)
-    notes = [f"telescoping oracle: {oracle.render()}",
-             f"formula matches oracle: {formula == oracle}"]
+    formula, oracle = entry22_formula(k), entry22_oracle(k)
+    poly = BinomialPoly({i: binomial(-k, k - 1 - i) for i in range(k)})
+    return IdentityRecord(
+        f"sum_{{m>={2 * k - 1}}} (-1)^(m+1) C(m-{k},{k - 1}) (zeta(m+1)-1)",
+        formula - ZetaExpr.make(Fraction(1, 1 << k)),
+        lhs_poly=poly, start_index=2 * k - 1,
+        notes=(f"telescoping oracle: {oracle.render()}",
+               f"formula matches oracle: {formula == oracle}"))
+
+
+def entry22_check(k, ctx=DEFAULT_CTX):
+    """Verify sum_(n>=1) 1/(n^k (n+1)^k) against the printed zeta
+    combination: ``verify_identity`` sums ``_entry22_record(k)``, and its
+    n = 1 term 2^-k, exact at the kernel's bits, is added back to both
+    sides.  The notes carry the telescoping oracle."""
+    rec = verify_identity(_entry22_record(k), ctx)
+    head = Dyadic(1, 1 << k)
     return IdentityRecord(
         lhs_description=f"sum_{{n>=1}} 1/(n^{k} (n+1)^{k})",
-        rhs=formula, lhs_numeric=total, rhs_numeric=rhs_val,
-        error_bound=bound, passed=passed, notes=tuple(notes))
+        rhs=entry22_formula(k), lhs_numeric=rec.lhs_numeric + head,
+        rhs_numeric=rec.rhs_numeric + head, error_bound=rec.error_bound,
+        passed=rec.passed, notes=rec.notes)

@@ -379,9 +379,9 @@ def fraction_verdict(lhs, rhs, bound, ctx):
 
 
 def fraction_eval_numeric(expr, ctx):
-    """ZetaExpr.eval_numeric with each term floored from its Fraction
-    product v * zeta(k+1), and the bound summed term by term in
-    Fractions."""
+    """The value and bound of ``ZetaExpr.fixed_point`` as a Dyadic and a
+    Fraction, with each term floored from its Fraction product
+    v * zeta(k+1), and the bound summed term by term in Fractions."""
     B = zeta._borwein_size(ctx.working_digits)[1]
     terms = expr.zeta_terms()
     total = zeta._fixed(expr.constant, B)

@@ -22,6 +22,7 @@ counting.reciprocity_check(P)
 series.closed_form(series.series_of(P, "weak"))
 series.hadamard(series.basis_series(2), series.basis_series(1))
 zeta.verify_identity(zeta.finite_form_identity(P))
+zeta.entry22_check(2)
 # exact mode on blocks that are not chains
 series.operad_eval_series(P, [series.series_of(poset.antichain(2)),
                               series.basis_series(1), series.basis_series(0),
@@ -40,8 +41,12 @@ def test_tracer_installs_and_sees_vector_layer():
     calls = json.loads(proc.stdout)
     for name in ("counting.d_vector", "polynomials.monomial", "series.product",
                  "series.closed_form", "series.operad_eval", "zeta.zeta_value",
-                 "zeta.zeta_value.misses", "zeta.verify.terms"):
+                 "zeta.zeta_value.misses", "zeta.verify.terms",
+                 "zeta.entry22_check"):
         assert calls.get(name, 0) > 0, (name, calls)
+    # entry22_check sums through verify_identity by its module-level name
+    assert calls["zeta.entry22_check"] == 1, calls
+    assert calls["zeta.verify_identity"] == 2, calls
 
 
 CLI_SCRIPT = """

@@ -1,6 +1,7 @@
 """Smoke test for the scripts under scripts/: each runs to the end in process
 and reports no failed check."""
 
+import hashlib
 import re
 import runpy
 import sys
@@ -30,3 +31,16 @@ def test_replay_outputs_prints_a_stable_hash(capsys, monkeypatch):
         outs.append(capsys.readouterr().out)
     assert re.fullmatch(r"[0-9a-f]{64}  readme \(9 jobs\)\n", outs[0])
     assert outs[1] == outs[0]
+
+
+def test_corpus_slice_on_seven_elements_is_pinned():
+    # the corpus8 group's cheap slice: below masks, d-vector and the
+    # finite-form identity's pass flag of each class of 7 elements, in
+    # catalogue order
+    corpus_lines = runpy.run_path(
+        str(SCRIPTS / "replay_outputs.py"))["corpus_lines"]
+    lines = list(corpus_lines([7], full=False))
+    assert len(lines) == 2045
+    assert all(line.endswith(" pass=True\n") for line in lines)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "3514fd960df6dd80c8d2f86927f9b44cfee7076e20110848a6038d01c64e44d5")

@@ -21,11 +21,11 @@ from posetoperad.suite import (alternating_unit_record, binomial_shift_record,
                                goldbach_record)
 from posetoperad.zeta import (DEFAULT_CTX, IdentityRecord, PrecisionContext,
                               ZETA_PASSES_KEPT, ZetaExpr, _borwein_weights,
-                              _choose_series_cap, _moments, _zeta_pass,
-                              entry22_check, entry22_formula, entry22_oracle,
-                              finite_form_identity, n_tilde, n_tilde2,
-                              operad_eval_zeta, verify_identity, zeta_number,
-                              zeta_value, zhat)
+                              _choose_series_cap, _entry22_record, _moments,
+                              _zeta_pass, entry22_check, entry22_formula,
+                              entry22_oracle, finite_form_identity, n_tilde,
+                              n_tilde2, operad_eval_zeta, verify_identity,
+                              zeta_number, zeta_value, zhat)
 
 from oracles import (comb_verify_identity, fraction_series_cap,
                      fraction_verify_identity, x_power)
@@ -533,21 +533,6 @@ def test_entry22_oracle_values():
         entry22_check(1)
 
 
-def test_direct_sum_refuses_past_its_ceiling(monkeypatch):
-    # k = 2 sums the least M with M^3 >= 4 / (3 tol): M = 1000 at
-    # 1.3334e-9 and 1001 at 1.3333e-9, so a ceiling of 1000 terms takes the
-    # one and refuses the other before it sums
-    monkeypatch.setattr(zeta, "MAX_DIRECT_TERMS", 1000)
-    rec = entry22_check(2, PrecisionContext(verify_tolerance=1.3334e-9))
-    partial = [Fraction(0)]
-    for n in range(1, 1002):
-        partial.append(partial[-1] + Fraction(1, (n * (n + 1)) ** 2))
-    assert rec.passed
-    assert abs(rec.lhs_numeric - partial[1000]) < Fraction(1, 1001 ** 4) / 2
-    with pytest.raises(PrecisionUnachievable, match="more than 1000 terms"):
-        entry22_check(2, PrecisionContext(verify_tolerance=1.3333e-9))
-
-
 def test_finite_form_verifies_on_corpus(classes_upto_6):
     ctx = PrecisionContext(working_digits=30, verify_tolerance=1e-10)
     for size in range(7):
@@ -621,6 +606,29 @@ def assert_same_as_comb_sum(rec, ctx):
             verify_identity(rec, ctx)
     else:
         assert verify_identity(rec, ctx) == want, (rec.lhs_description, ctx)
+
+
+def test_inverse_product_sums_match_the_comb_sum_referee_and_mpmath():
+    # the zeta-shift record of each inverse-product sum, field for field
+    for k in range(2, 7):
+        rec = _entry22_record(k)
+        for ctx in REFEREE_CONTEXTS:
+            assert verify_identity(rec, ctx) == comb_verify_identity(rec, ctx)
+    # the whole sum, its n = 1 term added back, lies within its bound of
+    # mpmath's
+    for k in range(2, 7):
+        rec = entry22_check(k)
+        with mpmath.workdps(60):
+            want = mpmath.nsum(lambda n: (n * (n + 1)) ** -k,
+                               [1, mpmath.inf])
+            assert abs(rec.lhs_numeric - want) <= rec.error_bound, k
+    # the k range at 50 digits: the weight grows with k until the zeta
+    # bound times it passes the tolerance
+    assert entry22_check(30).passed
+    with pytest.raises(PrecisionUnachievable,
+                       match="error bound 5.709e[+]10 exceeds tolerance"):
+        entry22_check(50)
+    assert entry22_check(50, PrecisionContext(working_digits=200)).passed
 
 
 @pytest.mark.parametrize("digits", (30, 40, 55, 200))
