@@ -288,9 +288,15 @@ def iso_classes(n):
 
 
 def _points_only(tree):
+    """Whether no node of a decomposition tree is a prime quotient."""
     if isinstance(tree, int):
-        return tree & (tree - 1) == 0
-    return tree[0] != "Q" and all(_points_only(part) for part in tree[1])
+        return True
+    if tree[0] == "Q":
+        return False
+    for part in tree[1]:  # a loop, not all(...): one frame a level
+        if not _points_only(part):
+            return False
+    return True
 
 
 def is_series_parallel(P):

@@ -7,8 +7,8 @@ and the strict order series over Z_i.  It is read off the substitution
 decomposition of P (``poset.decompose``), as the paper's operad composes
 posets: Hadamard products (``polynomials.cup_coeffs``) at disjoint
 unions, ordinal products (``polynomials.ordinal_coeffs``) at ordinal
-sums, and at prime quotients and prime pieces one DP over the levels of a
-surjection, each block weighted by its own vector.  With any rational
+sums, and at prime quotients one DP over the levels of a surjection, each
+block, a point or a module, weighted by its own vector.  With any rational
 vectors in the slots the same walk is the operad action on series.
 Every map count is then an evaluation of the order polynomial; the weak
 count follows by reciprocity, which ``reciprocity_check`` tests against
@@ -97,17 +97,16 @@ def _block_dp(below, ids, vectors):
             if (c := (value >> B * m & (1 << B) - 1) - (1 << B - 1))}
 
 
-def _strict_coeffs(below, tree, slots):
+def _strict_coeffs(tree, slots):
     """{i: c_i} of a decomposition tree with point j carrying slots[j]."""
-    if isinstance(tree, int):  # a point, a prime piece or the empty mask
-        return (slots[tree.bit_length() - 1] if tree & (tree - 1) == 0 < tree
-                else _block_dp(below, tree, slots))
+    if isinstance(tree, int):  # a point, or 0 for the empty poset
+        return slots[tree.bit_length() - 1] if tree else {0: 1}
+    parts = []
+    for t in tree[-1]:  # a loop, not a comprehension: one frame a level
+        parts.append(_strict_coeffs(t, slots))
     if tree[0] == "Q":
-        return _block_dp(tree[1], (1 << len(tree[2])) - 1,
-                         [_strict_coeffs(below, t, slots) for t in tree[2]])
-    product = cup_coeffs if tree[0] == "|" else ordinal_coeffs
-    return reduce(product, (_strict_coeffs(below, t, slots)
-                            for t in tree[1]))
+        return _block_dp(tree[1], (1 << len(parts)) - 1, parts)
+    return reduce(cup_coeffs if tree[0] == "|" else ordinal_coeffs, parts)
 
 
 def substitute_coeffs(P, slots):
@@ -115,7 +114,7 @@ def substitute_coeffs(P, slots):
     slot j carrying slots[j], read off ``poset.decompose(P)``; it is
     linear in each slot, so it runs on the slots scaled to integers."""
     dens = [lcm(*(c.denominator for c in vec.values())) for vec in slots]
-    out = _strict_coeffs(P._below, decompose(P), [
+    out = _strict_coeffs(decompose(P), [
         {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
         for vec, d in zip(slots, dens)])
     den = prod(dens)
@@ -159,7 +158,7 @@ def d_vector(P, guard=DEFAULT_GUARD):
     """d_i = number of strict surjections P -> chain(i), read off the
     substitution decomposition of P (``poset.decompose``)."""
     check_guard(len(P), guard)
-    d = _strict_coeffs(P._below, decompose(P), [{1: 1}] * len(P))
+    d = _strict_coeffs(decompose(P), [{1: 1}] * len(P))
     return DVector(P, tuple(d.get(i, 0) for i in range(1, len(P) + 1)))
 
 
@@ -218,15 +217,17 @@ def _weak_map_counts(P, tree=None):
     """Omega_weak(n) for n = 0..|P| of the subposet that ``tree``, a node
     of ``poset.decompose(P)`` (default: all of P), covers, without the
     d-vector: a point gives n, a disjoint union multiplies its parts'
-    counts and an ordinal sum stacks them; only a quotient or a prime
-    piece counts on its downsets."""
+    counts and an ordinal sum stacks them; only a prime quotient counts on
+    its downsets."""
     if tree is None:
         tree = decompose(P)
-    if isinstance(tree, int) and tree & (tree - 1) == 0 < tree:
-        return list(range(len(P) + 1))
-    if isinstance(tree, int) or tree[0] == "Q":
+    if isinstance(tree, int):  # a point, or 0 for the empty poset
+        return list(range(len(P) + 1)) if tree else [1]
+    if tree[0] == "Q":
         return _lattice_counts(P._below, _span(tree), len(P))
-    parts = [_weak_map_counts(P, t) for t in tree[1]]
+    parts = []
+    for t in tree[1]:  # a loop, not a comprehension: one frame a level
+        parts.append(_weak_map_counts(P, t))
     if tree[0] == "|":
         return [prod(values) for values in zip(*parts)]
     return reduce(_stacked_counts, parts)

@@ -275,17 +275,19 @@ def _maximal_modules(below, above, mask):
 
 def decompose(P, mask=None):
     """Substitution (modular) decomposition of the subposet of P on
-    ``mask`` (default: all of P), as a tree.
+    ``mask`` (default: all of P), as a tree whose leaves are its points
+    (0 for the empty poset).
 
     ``("|", parts)``: the comparability graph is disconnected, and the
     subposet is the disjoint union of its components.  ``("*", parts)``:
     the incomparability graph is disconnected, and the subposet is the
     ordinal sum of its components, listed bottom to top.  ``("Q",
     quotient_below, blocks)``: neither splits it, and it is the
-    lexicographic sum of its maximal modules, not all points, over the
-    prime quotient with those strict-below masks.  Otherwise the tree is
-    the mask: a point, or a prime piece of points such as the zigzag.
-    P keeps its whole tree; racing threads at worst compute it twice.
+    lexicographic sum of its maximal modules over the prime quotient with
+    those strict-below masks; a prime piece such as the zigzag is the sum
+    of its points.  The children are decomposed in one loop, so a level of
+    the tree costs one frame.  P keeps its whole tree; racing threads at
+    worst compute it twice.
     """
     if mask is None:
         if P._tree is None:
@@ -295,21 +297,22 @@ def decompose(P, mask=None):
         return mask
     below, above = P._below, P._up_masks()
     parts = _components(mask, lambda i: below[i] | above[i])
-    if len(parts) > 1:
-        return ("|", tuple(decompose(P, m) for m in parts))
-    parts = _components(mask, lambda i: ~(below[i] | above[i]))
-    if len(parts) > 1:
+    node = ("|",)
+    if len(parts) == 1:
+        parts = _components(mask, lambda i: ~(below[i] | above[i]))
         # each element of a higher part has all lower parts below it
         parts.sort(key=lambda m: (below[m.bit_length() - 1]
                                   & mask).bit_count())
-        return ("*", tuple(decompose(P, m) for m in parts))
-    blocks = _maximal_modules(below, above, mask)
-    if len(blocks) == mask.bit_count():
-        return mask
-    lows = [(b & -b).bit_length() - 1 for b in blocks]  # one speaks for all
-    quotient = tuple(sum(1 << j for j, r in enumerate(lows)
-                         if below[i] >> r & 1) for i in lows)
-    return ("Q", quotient, tuple(decompose(P, b) for b in blocks))
+        node = ("*",)
+    if len(parts) == 1:
+        parts = _maximal_modules(below, above, mask)
+        lows = [(b & -b).bit_length() - 1 for b in parts]  # one speaks for all
+        node = ("Q", tuple(sum(1 << j for j, r in enumerate(lows)
+                               if below[i] >> r & 1) for i in lows))
+    children = []
+    for m in parts:
+        children.append(decompose(P, m))
+    return node + (tuple(children),)
 
 
 def max_chain_length(P):

@@ -9,9 +9,10 @@ B-bit fixed point, one pass shared by every s.  The verification sums
 work on the same integers, so every value is an exact Dyadic, every bound
 is an exact sum that counts its floors, rounded up to a float once, PASS is
 an exact rational comparison.  The shared state is two bounded memos: the
-zeta passes, read under a lock, and the identity sums' moments, pure
-functions of the passes' integers built outside it; the layer is safe to
-call from several threads.  mpmath is not needed; a Dyadic exposes
+zeta passes, which one reader (``_pass_ints``) looks up, extends and
+slices under a lock, and the identity sums' moments, pure functions of the
+passes' integers built outside it; the layer is safe to call from several
+threads.  mpmath is not needed; a Dyadic exposes
 ``_mpf_`` so that mpmath code can read it.
 """
 
@@ -214,52 +215,45 @@ def _zeta_pass(digits):
     return _BorweinPass(*_borwein_size(digits))
 
 
+def _pass_ints(digits, first, last):
+    """(floor(zeta(s) 2^B) for s = first..last, 2^B, the bound in ulps of
+    2^-B), B the bits of the pass at the digits: the one reader of the
+    passes.  It refuses digits past the ceiling before any lookup, then
+    looks the pass up, extends it to zeta(last) and slices it under the
+    lock."""
+    if digits > MAX_DIGITS:
+        raise PrecisionUnachievable(
+            f"{digits} working digits exceed the ceiling {MAX_DIGITS} "
+            f"for zeta({last})")
+    with _zeta_lock:
+        zp = _zeta_pass(digits)
+        zp.extend(last)
+        return zp.values[first - 2:last - 1], zp.one, zp.ulps
+
+
 def zeta_value(s, ctx=DEFAULT_CTX, minus_one=False):
     """(value, error_bound) for zeta(s) or zeta(s) - 1, s an integer >= 2;
     both are Dyadics, and the bound is the same for every s."""
     if not isinstance(s, int) or s < 2:
         raise ValueError("zeta_value needs an integer s >= 2")
-    if ctx.working_digits > MAX_DIGITS:
-        raise PrecisionUnachievable(
-            f"{ctx.working_digits} working digits exceed the ceiling "
-            f"{MAX_DIGITS} for zeta({s})")
-    with _zeta_lock:
-        zp = _zeta_pass(ctx.working_digits)
-        zp.extend(s)
-        z, one = zp.values[s - 2], zp.one
-    return Dyadic(z - one if minus_one else z, one), Dyadic(zp.ulps, one)
-
-
-def _zeta_integers(first, last, ctx):
-    """(floor(zeta(s) 2^B) for s = first..last, the bound in ulps of 2^-B),
-    B the pass's bits.  One zeta_value(last) call, by its module-level name,
-    which perfbench's tracer wraps, checks the digits and extends the pass;
-    the integers are then read under the lock once."""
-    zeta_value(last, ctx)
-    with _zeta_lock:
-        zp = _zeta_pass(ctx.working_digits)
-        zp.extend(last)  # a no-op unless another thread evicted the pass
-        return zp.values[first - 2:last - 1], zp.ulps
+    (z,), one, ulps = _pass_ints(ctx.working_digits, s, s)
+    return Dyadic(z - one if minus_one else z, one), Dyadic(ulps, one)
 
 
 @lru_cache
 def _moments(digits, start, last, alternating, degree):
     """(U_0, ..., U_degree) with U_j = sum_(k=start..last) s_k C(k - start,
     j) (z_k - 2^B), z_k = floor(zeta(k+1) 2^B) at the digits and s_k =
-    (-1)^(k+1) when alternating, else 1.  The pass is extended to
-    zeta(last + 1) and its integers read under the lock once; the moments
-    are built outside it.  With w the signed terms, U_j is the (j+1)-th
-    iterated suffix sum of w at index j, since the t-th suffix sum at index
-    a is sum_(m>=a) C(m - a + t - 1, t - 1) w_m: the suffix sums run as
-    prefix sums of w reversed, each order dropping its last entry,
-    additions only.  The pass's integers are a pure function of the
-    digits, so the moments outlive the pass's eviction; a test that
-    corrupts a pass's integers must clear this memo too.  Called only
-    after ``_zeta_integers``, which checks the digits."""
-    with _zeta_lock:
-        zp = _zeta_pass(digits)
-        zp.extend(last + 1)  # a no-op unless another thread evicted it
-        zs, one = zp.values[start - 1:last], zp.one
+    (-1)^(k+1) when alternating, else 1.  The integers are read once
+    (``_pass_ints``); the moments are built outside the lock.  With w the
+    signed terms, U_j is the (j+1)-th iterated suffix sum of w at index j,
+    since the t-th suffix sum at index a is sum_(m>=a) C(m - a + t - 1,
+    t - 1) w_m: the suffix sums run as prefix sums of w reversed, each
+    order dropping its last entry, additions only.  The pass's integers
+    are a pure function of the digits, so the moments outlive the pass's
+    eviction; a test that corrupts a pass's integers must clear this memo
+    too."""
+    zs, one, _ = _pass_ints(digits, start + 1, last + 1)
     w = [z - one for z in reversed(zs)]
     if alternating:  # w[t] is term k = last - t, negative at even k
         w[last % 2::2] = [-x for x in w[last % 2::2]]
@@ -588,9 +582,12 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
     start = max(start, 1)
     N, tail = _choose_series_cap(Fraction(sum(map(abs, coeffs.values())), L),
                                  D, ctx.verify_tolerance, ctx.series_term_cap)
-    B = _borwein_size(ctx.working_digits)[1]
-    one, T = 1 << B, N - start + 1
-    zetas, zb = _zeta_integers(2, max(N, rec.rhs.max_index()) + 1, ctx)
+    last = max(N, rec.rhs.max_index()) + 1
+    # only for perfbench/tracer.py, which wraps the module-level name and
+    # counts one call per record; it extends the pass that _pass_ints reads
+    zeta_value(last, ctx)
+    zetas, one, zb = _pass_ints(ctx.working_digits, 2, last)
+    B, T = one.bit_length() - 1, N - start + 1
     rhs_total, rhs_ulps, rhs_L = rec.rhs.fixed_point(zetas, zb, B)
     delta = _differences(coeffs, start)
     if L == 1 and T > 0 and delta[0] > 0 and min(delta) >= 0:

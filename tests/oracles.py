@@ -16,7 +16,8 @@ from posetoperad.errors import (DivergentParameter, PrecisionUnachievable,
                                 Record)
 from posetoperad.polynomials import (BinomialPoly, MonomialPoly, SparseVec,
                                      binomial)
-from posetoperad.poset import Poset, chain, downsets, poset_from_masks
+from posetoperad.poset import (Poset, chain, disjoint_union, downsets,
+                               ordinal_sum, poset_from_masks)
 from posetoperad.series import ClosedForm
 
 
@@ -231,6 +232,17 @@ def has_induced_zigzag(P):
         if all(rel(x, y) for x, y in wanted) and not any(rel(x, y) for x, y in others):
             return True
     return False
+
+
+def deep_series_parallel(n):
+    """The n-element poset built from a point by putting one more point
+    beside it, then above it, in turn, on labels x0, x1, ...: its
+    decomposition tree is about n levels deep, yet its brace literal has
+    about one relation per element."""
+    P = chain(1)
+    for i in range(1, n):
+        P = (disjoint_union if i % 2 else ordinal_sum)(P, chain(1))
+    return Poset([f"x{i}" for i in range(n)], P._below)
 
 
 def poset_from_relation(elements, relation):

@@ -216,6 +216,27 @@ def test_a_term_cap_far_past_the_tail_refuses_within_a_time_budget():
     assert elapsed < 2, elapsed
 
 
+@pytest.mark.parametrize("command", [["poly"], ["series"], ["eval", "--at=3"],
+                                     ["inverse-sum", "--r=2"],
+                                     ["zeta-identity"]], ids=lambda c: c[0])
+def test_a_deep_tree_ends_in_a_documented_exit(command):
+    # one relation per element, so the parser's nesting limit never applies,
+    # but the decomposition tree is about 500 levels deep: every walk over
+    # it takes one frame per level, and no job ends in a RecursionError
+    from oracles import deep_series_parallel
+    literal = deep_series_parallel(500).relation_string()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "posetoperad.cli", "--guard", "500",
+         command[0], literal, *command[1:]],
+        capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode in (EXIT_OK, EXIT_FAIL), proc.stderr[-300:]
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 5, elapsed
+
+
 def test_zeta_identity_reports_a_failed_identity(capsys, monkeypatch):
     # the finite form's constant moved by 2^-30: both formats report the
     # failed comparison, and the exit code is 1
@@ -312,17 +333,28 @@ def test_fuzzed_expressions_end_in_a_documented_exit_code(text, command):
 _JUNK = st.sampled_from(["", "x", "-", "1.5", "1e3", "1/0", "nan", "inf", "--"])
 
 
+def _mostly(usual, rare):
+    """Draws of usual, and of rare in about one draw in eight, so that most
+    argvs get past the parser and reach a run."""
+    return st.integers(0, 7).flatmap(lambda i: rare if i == 0 else usual)
+
+
 def _flag(ints):
-    return st.one_of(ints.map(str), _JUNK)
+    """An in-range integer flag value, or rarely one out of range or junk."""
+    return _mostly(ints.map(str),
+                   st.one_of(st.integers(-3, 0).map(str), _JUNK))
 
 
 _GLOBAL_FLAGS = {
-    "--digits": _flag(st.integers(-2, 60)),
-    "--tolerance": st.one_of(
-        st.floats(allow_nan=True, allow_infinity=True).map(repr), _JUNK),
-    "--guard": _flag(st.integers(-3, 16)),
-    "--term-cap": _flag(st.integers(-3, 5000)),
+    "--digits": _flag(st.integers(1, 60)),
+    "--tolerance": _mostly(
+        st.floats(min_value=1e-300, max_value=1e300).map(repr),
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                  _JUNK)),
+    "--guard": _flag(st.integers(0, 16)),
+    "--term-cap": _flag(st.integers(1, 5000)),
 }
+_EXPRESSIONS = {"A3": 3, "C2|C1": 3, "C1*(C1|C1)": 3, "{x<y,z<y,z<w}": 4}
 
 
 @st.composite
@@ -336,18 +368,25 @@ def _flagged_argv(draw):
                                     "verify-suite"]))
     if command == "verify-suite":  # it takes no expression
         return argv + [command]
-    expr = draw(st.sampled_from(["A3", "C2|C1", "C1*(C1|C1)",
-                                 "{x<y,z<y,z<w}"]))
+    expr = draw(st.sampled_from(sorted(_EXPRESSIONS)))
     argv += [command, expr]
     if command == "inverse-sum":
-        r = draw(st.one_of(
-            st.fractions(min_value=-50, max_value=50,
-                         max_denominator=50).map(str), _JUNK))
+        r = draw(_mostly(
+            st.fractions(min_value=-50, max_value=50, max_denominator=50)
+            .filter(lambda r: abs(r) > 1).map(str),
+            st.one_of(st.fractions(min_value=-1, max_value=1,
+                                   max_denominator=50).map(str), _JUNK)))
         argv += [f"--r={r}"]
     elif command == "eval":
-        argv += [f"--at={draw(_flag(st.integers(-3, 40)))}"]
+        argv += [f"--at={draw(_flag(st.integers(0, 40)))}"]
     elif command == "tropical":
-        lengths = draw(st.lists(_flag(st.integers(-3, 9)), max_size=6))
+        # the poset's own arity, or in about one draw in eight any arity;
+        # in range, or in about one list in eight with rare entries
+        size = draw(_mostly(st.just(_EXPRESSIONS[expr]), st.integers(0, 6)))
+        lengths = draw(_mostly(
+            st.lists(st.integers(0, 9).map(str), min_size=size,
+                     max_size=size),
+            st.lists(_flag(st.integers(0, 9)), min_size=size, max_size=size)))
         argv += ["--lengths=" + ",".join(lengths)]
     return argv
 

@@ -22,10 +22,11 @@ from posetoperad.poset import (antichain, chain, construct_poset, lex_sum,
                                max_chain_length, ordinal_sum)
 from posetoperad.series import zigzag_poset
 
-from oracles import (backtracking_count_maps, downset_strict_vector,
-                     lattice_weak_counts, naive_count_maps,
-                     naive_linear_extensions, naive_strict_surjections,
-                     nested_sum_identity_check, subset_sum_weak_count)
+from oracles import (backtracking_count_maps, deep_series_parallel,
+                     downset_strict_vector, lattice_weak_counts,
+                     naive_count_maps, naive_linear_extensions,
+                     naive_strict_surjections, nested_sum_identity_check,
+                     subset_sum_weak_count)
 
 
 def star_poset():
@@ -212,6 +213,21 @@ def test_reciprocity_corpus(classes_upto_6):
     for reps in classes_upto_6.values():
         for P in reps:
             assert reciprocity_check(P).passed
+
+
+def test_tree_walks_take_one_frame_per_level():
+    # the tree is about n levels deep; each walk over it recurses in a
+    # plain loop, one frame per level, within the default recursion limit
+    from posetoperad.catalog import is_series_parallel
+    n = 340
+    P = deep_series_parallel(n)
+    d = d_vector(P, n).d
+    height = n // 2  # each point put above adds a level
+    assert d[height - 2] == 0 < d[height - 1]
+    # a point put beside k elements multiplies the extensions by k + 1
+    assert d[-1] == factorial(n // 2) << n // 2
+    assert reciprocity_check(P, n).passed
+    assert is_series_parallel(P)
 
 
 def test_weak_map_counts_match_naive_enumeration(classes_upto_5):

@@ -191,8 +191,8 @@ BASE = {"posetoperad", "posetoperad.cli", "posetoperad.counting",
         "posetoperad.dsl", "posetoperad.errors", "posetoperad.polynomials",
         "posetoperad.poset"}
 SERIES = BASE | {"posetoperad.series"}
-CEILING_BASE, CEILING_SERIES = 67_300, 81_400
-CEILING_ZETA, CEILING_SUITE = 96_900, 119_300
+CEILING_BASE, CEILING_SERIES = 67_200, 81_400
+CEILING_ZETA, CEILING_SUITE = 96_700, 119_100
 FOOTPRINTS = [
     pytest.param(None, BASE, CEILING_BASE, id="parser"),
     pytest.param(["poly", "{x<y,z<y,z<w}"], BASE, CEILING_BASE, id="poly"),

@@ -269,18 +269,17 @@ def _has_proper_module(P, node):
 
 
 def _tree_mask(P, tree):
-    """The elements a decomposition tree covers; asserts each split, that
-    the blocks of a "Q" node are modules partitioning it over a prime
-    quotient, and that a prime piece has no proper module."""
+    """The elements a decomposition tree covers; asserts that each leaf is
+    one point, each split, and that the blocks of a "Q" node are modules
+    partitioning it over a prime quotient."""
     if isinstance(tree, int):
-        if 1 < tree.bit_count() <= 8:
-            assert not _has_proper_module(P, tree)
+        assert tree & (tree - 1) == 0
         return tree
     if tree[0] == "Q":
         _, quotient, parts = tree
         masks = [_tree_mask(P, part) for part in parts]
         node = sum(masks)
-        assert len(masks) >= 4 and node.bit_count() > len(masks)
+        assert len(masks) >= 4 and node.bit_count() >= len(masks)
         for i, m in enumerate(masks):
             assert all(m & other == 0 for other in masks[i + 1:])
             assert _is_module(P, node, m)
@@ -288,7 +287,8 @@ def _tree_mask(P, tree):
             assert quotient[i] == sum(1 << j for j, other in enumerate(masks)
                                       if j != i and P.below_mask(low) & other)
         outer = Poset([str(i) for i in range(len(masks))], quotient)
-        assert decompose(outer) == (1 << len(masks)) - 1
+        assert decompose(outer) == ("Q", quotient, tuple(
+            1 << i for i in range(len(masks))))
         assert not _has_proper_module(outer, (1 << len(masks)) - 1)
         return node
     op, parts = tree
@@ -313,10 +313,11 @@ def test_decompose_splits_hold(classes_upto_6):
             tree = decompose(P)
             assert _tree_mask(P, tree) == (1 << len(P)) - 1
             quotients += not isinstance(tree, int) and tree[0] == "Q"
-    assert quotients == 84
+    assert quotients == 117
     assert decompose(ordinal_sum(antichain(2), chain(1))) == (
         "*", (("|", (1, 2)), 4))
-    assert decompose(zigzag_poset()) == 0b1111
+    assert decompose(zigzag_poset()) == ("Q", zigzag_poset()._below,
+                                         (1, 2, 4, 8))
     # the zigzag with its top y doubled: y and y' form a module, and the
     # quotient is the zigzag again
     twin = lex_sum(zigzag_poset(), [chain(1), antichain(2), chain(1),
@@ -335,6 +336,9 @@ def test_decompose_sums_over_prime_outers(classes_upto_5):
     rng = random.Random(20261018)
     over_primes = 0
     for P in outers:
+        # a prime P: a "Q" node whose blocks are its points
+        prime = decompose(P) == ("Q", P._below,
+                                 tuple(1 << i for i in range(len(P))))
         for _ in range(5):
             S = lex_sum(P, [rng.choice(pool) for _ in range(len(P))])
             tree = decompose(S)
@@ -343,7 +347,7 @@ def test_decompose_sums_over_prime_outers(classes_upto_5):
             for T in (S, disjoint_union(S, chain(2)),
                       ordinal_sum(antichain(2), S)):
                 assert _weak_map_counts(T) == lattice_weak_counts(T)
-            if isinstance(decompose(P), int) and len(S) > len(P):
+            if prime and len(S) > len(P):
                 # over a prime outer the blocks are the maximal modules
                 assert tree[0] == "Q" and tree[1] == P._below
                 over_primes += 1

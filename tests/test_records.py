@@ -8,15 +8,19 @@ import pickle
 
 import pytest
 
-from posetoperad.counting import DVector, ReciprocityReport, order_polynomial
+from posetoperad.counting import (DVector, ReciprocityReport, count_maps,
+                                  order_polynomial)
 from posetoperad.dsl import (AntichainLit, ChainLit, HasseLit, LexApply,
                              OrdinalSum, Union, _Tok)
-from posetoperad.errors import PosetOperadError, Record
+from posetoperad.errors import (ArityMismatch, DivergentParameter,
+                                ModeMismatch, PosetOperadError, Record)
 from posetoperad.polynomials import BinomialPoly
 from posetoperad.poset import antichain, chain
-from posetoperad.series import ClosedForm, SeriesIdentityReport
+from posetoperad.series import (ClosedForm, SeriesIdentityReport, SeriesVec,
+                                series_identity_check)
 from posetoperad.suite import Discrepancy
-from posetoperad.zeta import IdentityRecord, PrecisionContext, ZetaExpr
+from posetoperad.zeta import (IdentityRecord, PrecisionContext, ZetaExpr,
+                              verify_identity, zeta_number)
 
 from oracles import NestedSumReport
 
@@ -152,3 +156,51 @@ def test_dvector_is_validated():
         DVector(chain(2), (0, -1))
     with pytest.raises(PosetOperadError):
         DVector(chain(2), (0, 1))._replace(d=(1, 0))
+
+
+def _unsummable(**fields):
+    return IdentityRecord("lhs", ZetaExpr.make(0), **fields)
+
+
+# each refusal no other test reaches: (call, exception, message pattern)
+REFUSALS = [
+    pytest.param(lambda: verify_identity(_unsummable()), ValueError,
+                 "no summable polynomial", id="identity-without-poly"),
+    pytest.param(lambda: verify_identity(_unsummable(
+        lhs_poly=BinomialPoly({1: 1}), alternating=False)),
+        DivergentParameter, "need a constant polynomial",
+        id="identity-non-alternating"),
+    pytest.param(lambda: verify_identity(_unsummable(
+        lhs_poly=BinomialPoly({0: 1}), start_index=0)),
+        ValueError, r"start at k >= 1: zeta\(1\) diverges",
+        id="identity-from-zeta-1"),
+    pytest.param(lambda: count_maps(chain(2), -1), ValueError,
+                 "n must be nonnegative", id="count-below-zero"),
+    pytest.param(lambda: DVector(chain(2), (0, 0)), PosetOperadError,
+                 "top entry must count linear extensions",
+                 id="dvector-top-entry"),
+    pytest.param(lambda: order_polynomial(chain(2), "x"), ValueError,
+                 "unknown mode 'x'", id="order-polynomial-mode"),
+    pytest.param(lambda: BinomialPoly({1: 1}).eval(3, "x"), ValueError,
+                 "unknown eval mode 'x'", id="eval-mode"),
+    pytest.param(lambda: SeriesVec("x"), ValueError, "unknown mode 'x'",
+                 id="series-mode"),
+    pytest.param(lambda: ClosedForm((1,), 1, "strict").h_star(),
+                 ModeMismatch, r"h\* is read off the weak closed form",
+                 id="h-star-strict"),
+    pytest.param(lambda: ClosedForm((1, 1), 2, "weak").h_star(), ValueError,
+                 "should have no constant term", id="h-star-constant"),
+    pytest.param(lambda: series_identity_check(
+        "quaternary_reversal", {"chains": (1, 2, 3)}),
+        ArityMismatch, "needs four chain lengths", id="reversal-arity"),
+    pytest.param(lambda: ZetaExpr.make(1).render("x"), ValueError,
+                 "unknown render style 'x'", id="render-style"),
+    pytest.param(lambda: zeta_number(chain(2), "x"), ValueError,
+                 "unknown variant 'x'", id="zeta-number-variant"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", REFUSALS)
+def test_each_refusal_fires(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -608,6 +608,14 @@ def assert_same_as_comb_sum(rec, ctx):
         assert verify_identity(rec, ctx) == want, (rec.lhs_description, ctx)
 
 
+def test_a_start_past_the_cap_sums_nothing():
+    # no term lies in start..N, so the left side is 0 and no floor counts
+    rec = binomial_shift_record(3)._replace(start_index=10_000)
+    got = verify_identity(rec)
+    assert got.lhs_numeric == 0
+    assert got == comb_verify_identity(rec, DEFAULT_CTX)
+
+
 def test_inverse_product_sums_match_the_comb_sum_referee_and_mpmath():
     # the zeta-shift record of each inverse-product sum, field for field
     for k in range(2, 7):
@@ -787,7 +795,8 @@ def test_bounds_past_float_range_print_rounded_up():
     # through the float and past it from the exact rational
     for x in (Fraction(10 ** 400), Fraction(10 ** 400 + 1),
               Fraction(9999 * 10 ** 397 + 1), Fraction(7 * 10 ** 309, 3),
-              Fraction(2 ** 1024 - 1), Fraction(3, 7), Fraction(10 ** 300)):
+              Fraction(2 ** 1024 - 1), Fraction(3, 7), Fraction(10 ** 300),
+              Fraction(2 ** 1030, 15)):  # its first exponent guess is high
         text = zeta._sci_up(x)
         mantissa, _, exponent = text.partition("e")
         shown = Fraction(mantissa) * Fraction(10) ** int(exponent)
