@@ -9,6 +9,7 @@ can only repeat an earlier class are skipped, the others deduplicated
 through a certificate, a complete invariant that is cheap to compute, and
 the classes are sorted by a canonical key (lexicographically minimal
 relation under invariant-respecting relabelings), computed once per class.
+The series-parallel test is one ``poset.fold``: no node is a prime quotient.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 from operator import itemgetter
 
-from .poset import Poset, _bits, decompose, downsets
+from .poset import Poset, _bits, downsets, fold
 
 
 def _extensions(P, keep=None):
@@ -287,19 +288,8 @@ def iso_classes(n):
     return tuple(P for _, P in keyed)
 
 
-def _points_only(tree):
-    """Whether no node of a decomposition tree is a prime quotient."""
-    if isinstance(tree, int):
-        return True
-    if tree[0] == "Q":
-        return False
-    for part in tree[1]:  # a loop, not all(...): one frame a level
-        if not _points_only(part):
-            return False
-    return True
-
-
 def is_series_parallel(P):
     """True iff P is generated from points by disjoint union and ordinal
-    sum: its decomposition (``poset.decompose``) has no prime part."""
-    return _points_only(decompose(P))
+    sum: no node of its decomposition is a prime part."""
+    return fold(P, lambda leaf: True,
+                lambda kind, quotient, parts, mask: kind != "Q" and all(parts))

@@ -3,16 +3,17 @@ reciprocity checking.
 
 One engine counts: the d-vector, d_i = the number of strict surjections
 P -> chain(i), which is both the strict order polynomial over {C(x, i)}
-and the strict order series over Z_i.  It is read off the substitution
-decomposition of P (``poset.decompose``), as the paper's operad composes
-posets: Hadamard products (``polynomials.cup_coeffs``) at disjoint
-unions, ordinal products (``polynomials.ordinal_coeffs``) at ordinal
-sums, and at prime quotients one DP over the levels of a surjection, each
-block, a point or a module, weighted by its own vector.  With any rational
-vectors in the slots the same walk is the operad action on series.
-Every map count is then an evaluation of the order polynomial; the weak
-count follows by reciprocity, which ``reciprocity_check`` tests against
-weak map counts read along the same tree, without the d-vector.  The
+and the strict order series over Z_i.  It is one ``poset.fold`` over the
+substitution decomposition of P, as the paper's operad composes posets:
+Hadamard products (``polynomials.cup_coeffs``) at disjoint unions,
+ordinal products (``polynomials.ordinal_coeffs``) at ordinal sums, and
+at prime quotients one DP over the levels of a surjection, each block, a
+point or a module, weighted by its own vector.  With any rational vectors
+in the slots the same fold is the operad action on series, and the
+d-vector is that action with a point in every slot.  Every map count is
+then an evaluation of the order polynomial; the weak count follows by
+reciprocity, which ``reciprocity_check`` tests against weak map counts
+folded over the same tree, without the d-vector.  The
 literal counters (backtracking, subset sums over all masks, the downset
 recursion and lattice) live in ``tests/oracles.py`` as independent referees.
 """
@@ -21,12 +22,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, lcm, prod
+from itertools import accumulate
+from math import lcm, prod
+from operator import mul
 
 from .errors import EnumerationGuard, PosetOperadError, Record
 from .polynomials import (BinomialPoly, cup_coeffs, ordinal_coeffs,
                           weak_sign_flip)
-from .poset import _bits, decompose, downsets, max_chain_length
+from .poset import _bits, downsets, fold, max_chain_length
 
 DEFAULT_GUARD = 12
 
@@ -97,26 +100,22 @@ def _block_dp(below, ids, vectors):
             if (c := (value >> B * m & (1 << B) - 1) - (1 << B - 1))}
 
 
-def _strict_coeffs(tree, slots):
-    """{i: c_i} of a decomposition tree with point j carrying slots[j]."""
-    if isinstance(tree, int):  # a point, or 0 for the empty poset
-        return slots[tree.bit_length() - 1] if tree else {0: 1}
-    parts = []
-    for t in tree[-1]:  # a loop, not a comprehension: one frame a level
-        parts.append(_strict_coeffs(t, slots))
-    if tree[0] == "Q":
-        return _block_dp(tree[1], (1 << len(parts)) - 1, parts)
-    return reduce(cup_coeffs if tree[0] == "|" else ordinal_coeffs, parts)
+def _strict_node(kind, quotient, parts, mask):
+    """{i: c_i} of a node of the decomposition from its parts' vectors."""
+    if kind == "Q":
+        return _block_dp(quotient, (1 << len(parts)) - 1, parts)
+    return reduce(cup_coeffs if kind == "|" else ordinal_coeffs, parts)
 
 
 def substitute_coeffs(P, slots):
     """The operad action on nonzero rational vectors: {i: c_i} of P with
-    slot j carrying slots[j], read off ``poset.decompose(P)``; it is
+    slot j carrying slots[j], folded over ``poset.decompose(P)``; it is
     linear in each slot, so it runs on the slots scaled to integers."""
     dens = [lcm(*(c.denominator for c in vec.values())) for vec in slots]
-    out = _strict_coeffs(decompose(P), [
-        {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
-        for vec, d in zip(slots, dens)])
+    # leaf 1 << j reads slot j at j + 1, and 0, the empty poset, the unit
+    ints = [{0: 1}] + [{k: c.numerator * (d // c.denominator)
+                        for k, c in vec.items()} for vec, d in zip(slots, dens)]
+    out = fold(P, lambda leaf: ints[leaf.bit_length()], _strict_node)
     den = prod(dens)
     return {m: c if den == 1 else Fraction(c, den) for m, c in out.items()}
 
@@ -155,10 +154,11 @@ class DVector(Record):
 
 @lru_cache
 def d_vector(P, guard=DEFAULT_GUARD):
-    """d_i = number of strict surjections P -> chain(i), read off the
-    substitution decomposition of P (``poset.decompose``)."""
+    """d_i = number of strict surjections P -> chain(i): the operad action
+    of ``substitute_coeffs`` with a point, {1: 1}, in every slot, folded
+    directly, as those slots need no scaling to integers."""
     check_guard(len(P), guard)
-    d = _strict_coeffs(decompose(P), [{1: 1}] * len(P))
+    d = fold(P, lambda leaf: {1: 1} if leaf else {0: 1}, _strict_node)
     return DVector(P, tuple(d.get(i, 0) for i in range(1, len(P) + 1)))
 
 
@@ -204,33 +204,23 @@ def _lattice_counts(below, mask, top):
 def _stacked_counts(low, up):
     """Weak counts of an ordinal sum, L below U: the maps of L whose
     largest value is j, times the maps of U into j..n, summed over j."""
-    return [sum((low[j] - low[j - 1]) * up[n - j + 1] for j in range(1, n + 1))
-            for n in range(len(low))]
+    steps = [b - a for a, b in zip(low, low[1:])]
+    return [sum(map(mul, steps[:n], up[n:0:-1])) for n in range(len(low))]
 
 
-def _span(tree):
-    """The mask of the elements a decomposition tree covers."""
-    return tree if isinstance(tree, int) else sum(map(_span, tree[-1]))
-
-
-def _weak_map_counts(P, tree=None):
-    """Omega_weak(n) for n = 0..|P| of the subposet that ``tree``, a node
-    of ``poset.decompose(P)`` (default: all of P), covers, without the
-    d-vector: a point gives n, a disjoint union multiplies its parts'
-    counts and an ordinal sum stacks them; only a prime quotient counts on
-    its downsets."""
-    if tree is None:
-        tree = decompose(P)
-    if isinstance(tree, int):  # a point, or 0 for the empty poset
-        return list(range(len(P) + 1)) if tree else [1]
-    if tree[0] == "Q":
-        return _lattice_counts(P._below, _span(tree), len(P))
-    parts = []
-    for t in tree[1]:  # a loop, not a comprehension: one frame a level
-        parts.append(_weak_map_counts(P, t))
-    if tree[0] == "|":
-        return [prod(values) for values in zip(*parts)]
-    return reduce(_stacked_counts, parts)
+def _weak_map_counts(P):
+    """Omega_weak(n) for n = 0..|P|, folded over ``poset.decompose(P)``
+    without the d-vector: a point gives n, a disjoint union multiplies its
+    parts' counts and an ordinal sum stacks them; only a prime quotient
+    counts on its downsets."""
+    def node(kind, quotient, parts, mask):
+        if kind == "Q":
+            return _lattice_counts(P._below, mask, len(P))
+        if kind == "|":
+            return [prod(values) for values in zip(*parts)]
+        return reduce(_stacked_counts, parts)
+    return fold(P, lambda leaf: list(range(len(P) + 1)) if leaf else [1],
+                node)
 
 
 def reciprocity_check(P, guard=DEFAULT_GUARD):
@@ -238,12 +228,19 @@ def reciprocity_check(P, guard=DEFAULT_GUARD):
     weak polynomial, the strict one with its signs flipped, must give the
     |P| + 1 weak map counts of ``_weak_map_counts``.  Those fix a
     polynomial of degree |P|, and through the flip the d-vector.  The
-    coefficients are ints, so each count is a sum of ``comb`` products."""
+    coefficients w_i are ints, on the multiset basis C(n + i - 1, i),
+    whose difference in n lowers i by one.  So q_k(n) = sum_i w_i
+    C(n + i - k - 1, i - k), with q_k(0) = w_k, is the sum of q_j(n - 1)
+    over j >= k: each n costs one pass of prefix sums, and q_0 is the
+    value."""
     strict_poly = order_polynomial(P, "strict", guard)
     weak_poly = BinomialPoly(weak_sign_flip(strict_poly.coeffs, len(P)))
-    weak = weak_poly.coeffs.items()
-    passed = all(sum(v * comb(n + i - 1, i) if i else v for i, v in weak)
-                 == count for n, count in enumerate(_weak_map_counts(P)))
+    sums = [weak_poly.coeffs.get(k, 0) for k in range(len(P), -1, -1)]
+    values = [sums[-1]]  # q_0(0); sums holds q_|P|, ..., q_0
+    for _ in range(len(P)):
+        sums = list(accumulate(sums))
+        values.append(sums[-1])
+    passed = values == _weak_map_counts(P)
     return ReciprocityReport(P, strict_poly, weak_poly, passed)
 
 

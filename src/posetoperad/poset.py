@@ -315,6 +315,27 @@ def decompose(P, mask=None):
     return node + (tuple(children),)
 
 
+def fold(P, point, node):
+    """The value at the root of ``decompose(P)``, folded bottom up:
+    ``point(leaf)`` at each leaf (a one-bit mask, or 0 for the empty
+    poset) and ``node(kind, quotient, parts, mask)`` at each inner node,
+    with ``kind`` "|", "*" or "Q", ``quotient`` a "Q" node's strict-below
+    masks (else None), ``parts`` the children's values in order and
+    ``mask`` the elements the node covers.  One loop folds the children,
+    so a level of the tree costs one frame."""
+    def walk(tree):
+        if isinstance(tree, int):
+            return point(tree), tree
+        parts, mask = [], 0
+        for child in tree[-1]:
+            value, m = walk(child)
+            parts.append(value)
+            mask |= m
+        quotient = tree[1] if tree[0] == "Q" else None
+        return node(tree[0], quotient, parts, mask), mask
+    return walk(decompose(P))[0]
+
+
 def max_chain_length(P):
     """Size of the longest totally ordered subset; 0 for the empty poset."""
     return tropical_eval(P, [1] * len(P))

@@ -221,8 +221,9 @@ def test_a_term_cap_far_past_the_tail_refuses_within_a_time_budget():
                                      ["zeta-identity"]], ids=lambda c: c[0])
 def test_a_deep_tree_ends_in_a_documented_exit(command):
     # one relation per element, so the parser's nesting limit never applies,
-    # but the decomposition tree is about 500 levels deep: every walk over
-    # it takes one frame per level, and no job ends in a RecursionError
+    # but the decomposition tree is about 500 levels deep: decompose and the
+    # fold over it take one frame per level, and no job ends in a
+    # RecursionError
     from oracles import deep_series_parallel
     literal = deep_series_parallel(500).relation_string()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -216,8 +216,8 @@ def test_reciprocity_corpus(classes_upto_6):
 
 
 def test_tree_walks_take_one_frame_per_level():
-    # the tree is about n levels deep; each walk over it recurses in a
-    # plain loop, one frame per level, within the default recursion limit
+    # the tree is about n levels deep; decompose and the one fold over it
+    # each take one frame per level, within the default recursion limit
     from posetoperad.catalog import is_series_parallel
     n = 340
     P = deep_series_parallel(n)

@@ -8,8 +8,9 @@ from posetoperad.catalog import iso_classes
 from posetoperad.errors import (ArityMismatch, CycleDetected, DuplicateLabel,
                                 UnknownLabel)
 from posetoperad.poset import (Poset, antichain, chain, construct_poset,
-                               decompose, disjoint_union, downsets, lex_sum,
-                               max_chain_length, ordinal_sum, tropical_eval)
+                               decompose, disjoint_union, downsets, fold,
+                               lex_sum, max_chain_length, ordinal_sum,
+                               tropical_eval)
 from posetoperad.series import zigzag_poset
 
 from oracles import (dfs_closure, label_lex_sum, lattice_weak_counts,
@@ -324,6 +325,29 @@ def test_decompose_splits_hold(classes_upto_6):
                                     chain(1)])
     assert decompose(twin) == ("Q", zigzag_poset()._below,
                                (1, ("|", (2, 4)), 8, 16))
+
+
+def test_fold_reads_the_tree_bottom_up():
+    # the twin zigzag of test_decompose_splits_hold: each value is the mask
+    # a leaf or node covers, and the calls come in post-order
+    twin = lex_sum(zigzag_poset(), [chain(1), antichain(2), chain(1),
+                                    chain(1)])
+    leaves, nodes = [], []
+
+    def point(leaf):
+        leaves.append(leaf)
+        return leaf
+
+    def node(kind, quotient, parts, mask):
+        nodes.append((kind, quotient, parts, mask))
+        return mask
+    assert fold(twin, point, node) == 0b11111
+    assert leaves == [1, 2, 4, 8, 16]
+    assert nodes == [("|", None, [2, 4], 0b110),
+                     ("Q", zigzag_poset()._below, [1, 0b110, 8, 16], 0b11111)]
+    # the empty poset is one leaf, 0
+    assert fold(chain(0), lambda leaf: ("point", leaf), node) == ("point", 0)
+    assert len(nodes) == 2
 
 
 def test_decompose_sums_over_prime_outers(classes_upto_5):

@@ -44,3 +44,25 @@ def test_corpus_slice_on_seven_elements_is_pinned():
     assert all(line.endswith(" pass=True\n") for line in lines)
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
         "3514fd960df6dd80c8d2f86927f9b44cfee7076e20110848a6038d01c64e44d5")
+
+
+def test_code_lines_counts_code_only(capsys, monkeypatch):
+    path = SCRIPTS / "code_lines.py"
+    code_lines = runpy.run_path(str(path))["code_lines"]
+    source = ('"""Module docstring,\n\nover three lines."""\n\n'
+              "# a comment\nx = 1  # trailing\n\n\n"
+              "def f(a,\n      b):\n    '''Docstring.'''\n"
+              "    return '''a string\n    that is code'''\n")
+    assert code_lines(source) == 5
+    # one tree, then the same tree twice: every delta is zero
+    root = str(SCRIPTS.parent)
+    for argv in ([str(path)], [str(path), root, root]):
+        monkeypatch.setattr(sys, "argv", argv)
+        runpy.run_path(str(path), run_name="__main__")
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        modules, total = rows[1:-1], rows[-1]
+        assert {row[0] for row in modules} >= {"poset.py", "counting.py"}
+        assert total[0] == "total" and int(total[1]) == sum(
+            int(row[1]) for row in modules)
+        if len(argv) == 3:
+            assert all(row[3] == row[6] == "+0" for row in rows[1:])
