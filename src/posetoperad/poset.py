@@ -323,17 +323,22 @@ def fold(P, point, node):
     masks (else None), ``parts`` the children's values in order and
     ``mask`` the elements the node covers.  One loop folds the children,
     so a level of the tree costs one frame."""
-    def walk(tree):
-        if isinstance(tree, int):
-            return point(tree), tree
-        parts, mask = [], 0
-        for child in tree[-1]:
-            value, m = walk(child)
-            parts.append(value)
-            mask |= m
-        quotient = tree[1] if tree[0] == "Q" else None
-        return node(tree[0], quotient, parts, mask), mask
-    return walk(decompose(P))[0]
+    return _fold(decompose(P), point, node)[0]
+
+
+def _fold(tree, point, node):
+    """(value, mask) of a node of the tree, for ``fold``: a module-level
+    function, as a nested one that calls itself would be a reference
+    cycle, left to the cyclic collector after every fold."""
+    if isinstance(tree, int):
+        return point(tree), tree
+    parts, mask = [], 0
+    for child in tree[-1]:
+        value, m = _fold(child, point, node)
+        parts.append(value)
+        mask |= m
+    quotient = tree[1] if tree[0] == "Q" else None
+    return node(tree[0], quotient, parts, mask), mask
 
 
 def max_chain_length(P):

@@ -1,3 +1,4 @@
+import gc
 import random
 
 from hypothesis import given, settings
@@ -348,6 +349,22 @@ def test_fold_reads_the_tree_bottom_up():
     # the empty poset is one leaf, 0
     assert fold(chain(0), lambda leaf: ("point", leaf), node) == ("point", 0)
     assert len(nodes) == 2
+
+
+def test_fold_leaves_no_reference_cycle():
+    # what a fold allocates goes when its last reference does: none of it
+    # waits for the cyclic collector, which would add pauses to the jobs
+    # that happen to trigger it
+    twin = lex_sum(zigzag_poset(), [chain(1), antichain(2), chain(1),
+                                    chain(1)])
+    decompose(twin)
+    gc.collect()
+    gc.disable()
+    try:
+        fold(twin, lambda leaf: leaf, lambda kind, quotient, parts, mask: mask)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_decompose_sums_over_prime_outers(classes_upto_5):
