@@ -26,9 +26,8 @@ from itertools import accumulate
 from operator import mul
 
 from .counting import DEFAULT_GUARD, order_polynomial
-from .errors import (MAX_DIGITS, ArityMismatch, DivergentParameter,
-                     MissingProvenance, PosetOperadError,
-                     PrecisionUnachievable, Record)
+from .errors import (MAX_DIGITS, ArityMismatch, MissingProvenance,
+                     PosetOperadError, PrecisionUnachievable, Record)
 from .polynomials import BinomialPoly, SparseVec, binomial, render_sum
 from .poset import chain, lex_sum
 
@@ -529,42 +528,29 @@ def _differences(coeffs, start):
                 if i >= j) for j in range(max(coeffs, default=0) + 1)]
 
 
-def _forward_values(diffs, count):
-    """[q(start), ..., q(start + count - 1)] from diffs, the
-    ``_differences`` of q at start, with no binomial per term: Delta^D q
-    is constant, and each order's values are the running sums of the next
-    order's."""
-    if count <= 0:
-        return []
-    values = [diffs[-1]] * count
-    for d in reversed(diffs[:-1]):
-        values = list(accumulate(values[:-1], initial=d))
-    return values
-
-
 def verify_identity(rec, ctx=DEFAULT_CTX):
-    """Numerically referee an IdentityRecord built on a binomial-basis LHS.
+    """Numerically referee an IdentityRecord built on a binomial-basis LHS,
+    plain or alternating.
 
     The LHS sum is truncated where the certified tail bound drops below
     half the tolerance; the pass flag compares against the accumulated
-    bound plus the tolerance; a bound above the tolerance raises.
+    bound plus the tolerance; a bound above the tolerance raises.  The
+    tail, M sum_(k>N) k^D 2^-k, holds for either sign, since |p(k)| <= M k^D
+    and zeta(k+1) - 1 <= 2^-k.
 
     The sum runs in integers.  With L the lcm of the polynomial's
     denominators (1 for every record the package builds), L p(k) = q_k is
     an integer, and zeta(k+1) - 1 is man_k / 2^B, read from the pass.  At
     the start index, q_k = sum_j delta_j C(k - start, j) with delta_j the
-    forward differences of q there.  Each record takes one flow: weight,
-    bound, refusal, sum, verdict.  The weight: when L = 1, every
-    delta_j >= 0 and delta_0 > 0, every q_k is positive, so sum |q_k| is
-    sum_j delta_j C(T, j + 1) by the hockey stick and each of the
-    T = N - start + 1 terms counts one floor; otherwise the signed q_k
-    come by forward differences (``_forward_values``) and their weight and
-    nonzero count are summed.  The bound, tail + (sum |q_k| / L) zb + RHS
-    bound + floors 2^-B, exact until the record rounds it up, is refused
-    before any sum.  The sum: when L = 1 it is sum_j delta_j U_j with the
-    moments U_j (``_moments``), exact, the same for every record with these
-    digits, start, N, signs and degree; when L > 1 each term adds
-    floor(+-q_k man_k / L).
+    forward differences of q there.  Every record takes one flow: weight,
+    bound, refusal, sum, verdict.  The weight sum_j |delta_j| C(T, j + 1),
+    T = max(N - start + 1, 0) the number of terms, is at least sum |q_k|
+    by the triangle inequality and the hockey stick, and equal to it when
+    no delta_j is negative; each term counts one floor.  The bound,
+    tail + (weight / L) zb + RHS bound + T 2^-B, exact until the record
+    rounds it up, is refused before any sum.  The sum is sum_j delta_j U_j
+    with the moments U_j (``_moments``), the same for every record with
+    these digits, start, N, signs and degree, floored once by L.
     """
     if rec.lhs_poly is None:
         raise ValueError("record carries no summable polynomial")
@@ -573,9 +559,6 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
     L = math.lcm(*(v.denominator for v in poly.coeffs.values()))
     coeffs = {i: v.numerator * (L // v.denominator)
               for i, v in poly.coeffs.items()}
-    if not rec.alternating and D > 0:
-        raise DivergentParameter(
-            "non-alternating zeta-shift series need a constant polynomial")
     start = rec.start_index
     if start < 0 or start == 0 and coeffs.get(0):
         raise ValueError("the LHS terms start at k >= 1: zeta(1) diverges")
@@ -587,27 +570,14 @@ def verify_identity(rec, ctx=DEFAULT_CTX):
     # counts one call per record; it extends the pass that _pass_ints reads
     zeta_value(last, ctx)
     zetas, one, zb = _pass_ints(ctx.working_digits, 2, last)
-    B, T = one.bit_length() - 1, N - start + 1
+    B, T = one.bit_length() - 1, max(N - start + 1, 0)
     rhs_total, rhs_ulps, rhs_L = rec.rhs.fixed_point(zetas, zb, B)
     delta = _differences(coeffs, start)
-    if L == 1 and T > 0 and delta[0] > 0 and min(delta) >= 0:
-        # every q_k > 0: the weight by the hockey stick
-        weight = sum(d * math.comb(T, j + 1) for j, d in enumerate(delta))
-        floors = T
-    else:
-        q = _forward_values(delta, T)
-        if rec.alternating:  # (-1)^(k+1): the terms at even k subtract
-            q[start % 2::2] = [-qk for qk in q[start % 2::2]]
-        weight, floors = sum(map(abs, q)), len(q) - q.count(0)
-    num, den = _bound_ratio(tail, weight * zb + floors * L, L, rhs_ulps,
-                            rhs_L, B)
+    weight = sum(abs(d) * math.comb(T, j + 1) for j, d in enumerate(delta))
+    num, den = _bound_ratio(tail, weight * zb + T * L, L, rhs_ulps, rhs_L, B)
     _verdict(0, num, den, ctx)  # refuses here, before the sum
-    if L == 1:
-        total = sum(map(mul, delta, _moments(ctx.working_digits, start, N,
-                                             rec.alternating, D)))
-    else:
-        total = sum(qk * (z - one) // L
-                    for qk, z in zip(q, zetas[start - 1:N]))
+    total = sum(map(mul, delta, _moments(ctx.working_digits, start, N,
+                                         rec.alternating, D))) // L
     bound, passed = _verdict(abs(total - rhs_total) * (den >> B), num, den,
                              ctx)
     return type(rec)(*rec._values()[:6], Dyadic(total, one),
@@ -670,7 +640,7 @@ def _entry22_record(k):
     series: for n >= 2, (1 + 1/n)^-k = sum_j C(-k, j) n^-j, so the rest is
     sum_(m>=2k-1) (-1)^(m+1) C(m-k, k-1) (zeta(m+1)-1), and by Vandermonde
     C(m-k, k-1) = sum_i C(-k, k-1-i) C(m, i).  Its forward differences at
-    2k - 1 are C(k-1, k-1-j) >= 0, the first 1: the hockey-stick route."""
+    2k - 1 are C(k-1, k-1-j) >= 0, so its weight is sum |q_k| exactly."""
     if k < 2:
         raise ValueError("entry22_check needs k >= 2")
     formula, oracle = entry22_formula(k), entry22_oracle(k)

@@ -12,8 +12,7 @@ from math import comb, factorial, lcm
 from posetoperad import zeta
 from posetoperad.catalog import _extensions
 from posetoperad.counting import count_maps
-from posetoperad.errors import (DivergentParameter, PrecisionUnachievable,
-                                Record)
+from posetoperad.errors import PrecisionUnachievable, Record
 from posetoperad.polynomials import (BinomialPoly, MonomialPoly, SparseVec,
                                      binomial)
 from posetoperad.poset import (Poset, chain, disjoint_union, downsets,
@@ -405,37 +404,42 @@ def fraction_eval_numeric(expr, ctx):
     return zeta.Dyadic(total, 1 << B), bound
 
 
+def hockey_stick_weight(values):
+    """sum_j |Delta^j v(0)| C(T, j + 1) for the T values v(0..T-1): the
+    differences are taken of the values themselves, each order one shorter,
+    and no order past the last nonzero one counts."""
+    T, weight, j = len(values), 0, 0
+    while any(values):
+        weight += abs(values[0]) * comb(T, j + 1)
+        values = [b - a for a, b in zip(values, values[1:])]
+        j += 1
+    return weight
+
+
 def fraction_verify_identity(rec, ctx):
     """verify_identity with every LHS term built from Fraction products:
-    p(k) by poly.eval, times the sign and zeta(k+1) - 1, floored once, and
-    the bound summed term by term in Fractions."""
+    p(k) by poly.eval, times the sign and zeta(k+1) - 1, summed exactly and
+    floored once, and the bound summed in Fractions from the weight of the
+    p(k) and one floor per term."""
     if rec.lhs_poly is None:
         raise ValueError("record carries no summable polynomial")
     poly = rec.lhs_poly
-    D = poly.max_index()
     M = sum((abs(v) for v in poly.coeffs.values()), Fraction(0))
-    if not rec.alternating and D > 0:
-        raise DivergentParameter(
-            "non-alternating zeta-shift series need a constant polynomial")
-    N, tail = fraction_series_cap(M, D, ctx.verify_tolerance,
+    N, tail = fraction_series_cap(M, poly.max_index(), ctx.verify_tolerance,
                                   ctx.series_term_cap)
     B = zeta._borwein_size(ctx.working_digits)[1]
-    total = floors = 0
-    term_bound = Fraction(0)
-    for k in range(rec.start_index, N + 1):
-        pk = poly.eval(k)
-        if pk == 0:
-            continue
-        zv, zb = zeta.zeta_value(k + 1, ctx, minus_one=True)
+    ks = range(max(rec.start_index, 1), N + 1)
+    values = [poly.eval(k) for k in ks]
+    exact = Fraction(0)
+    for k, pk in zip(ks, values):
         sign = (-1) ** (k + 1) if rec.alternating else 1
-        total += zeta._fixed(sign * pk * zv, B)
-        floors += 1
-        term_bound += abs(pk) * Fraction(zb)
-    lhs_val = zeta.Dyadic(total, 1 << B)
+        exact += sign * pk * zeta.zeta_value(k + 1, ctx, minus_one=True)[0]
+    lhs_val = zeta.Dyadic(zeta._fixed(exact, B), 1 << B)
+    zb = Fraction(zeta.zeta_value(2, ctx)[1])
     rhs_val, rhs_bound = fraction_eval_numeric(rec.rhs, ctx)
     bound, passed = fraction_verdict(
-        lhs_val, rhs_val,
-        tail + term_bound + rhs_bound + Fraction(floors, 1 << B), ctx)
+        lhs_val, rhs_val, tail + hockey_stick_weight(values) * zb + rhs_bound
+        + Fraction(len(ks), 1 << B), ctx)
     return rec._replace(lhs_numeric=lhs_val, rhs_numeric=rhs_val,
                         error_bound=bound, passed=passed,
                         notes=rec.notes + (f"lhs summed to k={N}",))
@@ -443,36 +447,32 @@ def fraction_verify_identity(rec, ctx):
 
 def comb_verify_identity(rec, ctx):
     """verify_identity term by term: q = sum_i c_i C(k, i) by math.comb at
-    each k, one zeta_value call and one floor per nonzero term, and the
-    weight sum |q| and the floor count summed as the terms go."""
+    each k, one zeta_value call per term, the signed products summed
+    exactly and floored once by L, and the weight of the q and one floor
+    per term in the bound."""
     if rec.lhs_poly is None:
         raise ValueError("record carries no summable polynomial")
     poly = rec.lhs_poly
-    D = poly.max_index()
     L = lcm(*(v.denominator for v in poly.coeffs.values()))
     coeffs = [(i, v.numerator * (L // v.denominator))
               for i, v in poly.coeffs.items()]
     M = Fraction(sum(abs(c) for _, c in coeffs), L)
-    if not rec.alternating and D > 0:
-        raise DivergentParameter(
-            "non-alternating zeta-shift series need a constant polynomial")
-    N, tail = zeta._choose_series_cap(M, D, ctx.verify_tolerance,
+    N, tail = zeta._choose_series_cap(M, poly.max_index(),
+                                      ctx.verify_tolerance,
                                       ctx.series_term_cap)
     B = zeta._borwein_size(ctx.working_digits)[1]
-    total = floors = weight = zb = 0
-    for k in range(rec.start_index, N + 1):
-        q = sum(c * comb(k, i) for i, c in coeffs)
-        if q == 0:
-            continue
-        zv, zb = zeta.zeta_value(k + 1, ctx, minus_one=True)
+    ks = range(max(rec.start_index, 1), N + 1)
+    qs = [sum(c * comb(k, i) for i, c in coeffs) for k in ks]
+    total = 0
+    for k, q in zip(ks, qs):
+        zv, _ = zeta.zeta_value(k + 1, ctx, minus_one=True)
         if rec.alternating and k % 2 == 0:
             q = -q
-        total += q * zeta._fixed(zv, B) // L
-        floors += 1
-        weight += abs(q)
-    lhs_val = zeta.Dyadic(total, 1 << B)
+        total += q * zeta._fixed(zv, B)
+    lhs_val = zeta.Dyadic(total // L, 1 << B)
+    zb = zeta._fixed(zeta.zeta_value(2, ctx)[1], B)
     rhs_val, rhs_bound = fraction_eval_numeric(rec.rhs, ctx)
-    ulps = weight * zeta._fixed(zb, B) + floors * L
+    ulps = hockey_stick_weight(qs) * zb + len(ks) * L
     bound, passed = fraction_verdict(
         lhs_val, rhs_val, tail + Fraction(ulps, L << B) + rhs_bound, ctx)
     return rec._replace(lhs_numeric=lhs_val, rhs_numeric=rhs_val,

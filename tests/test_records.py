@@ -12,8 +12,8 @@ from posetoperad.counting import (DVector, ReciprocityReport, count_maps,
                                   order_polynomial)
 from posetoperad.dsl import (AntichainLit, ChainLit, HasseLit, LexApply,
                              OrdinalSum, Union, _Tok)
-from posetoperad.errors import (ArityMismatch, DivergentParameter,
-                                ModeMismatch, PosetOperadError, Record)
+from posetoperad.errors import (ArityMismatch, ModeMismatch,
+                                PosetOperadError, Record)
 from posetoperad.polynomials import BinomialPoly
 from posetoperad.poset import antichain, chain
 from posetoperad.series import (ClosedForm, SeriesIdentityReport, SeriesVec,
@@ -166,10 +166,6 @@ def _unsummable(**fields):
 REFUSALS = [
     pytest.param(lambda: verify_identity(_unsummable()), ValueError,
                  "no summable polynomial", id="identity-without-poly"),
-    pytest.param(lambda: verify_identity(_unsummable(
-        lhs_poly=BinomialPoly({1: 1}), alternating=False)),
-        DivergentParameter, "need a constant polynomial",
-        id="identity-non-alternating"),
     pytest.param(lambda: verify_identity(_unsummable(
         lhs_poly=BinomialPoly({0: 1}), start_index=0)),
         ValueError, r"start at k >= 1: zeta\(1\) diverges",

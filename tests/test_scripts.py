@@ -12,6 +12,13 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+# the scoreboard lines a script prints at its defaults: the 25 classes of
+# 0-4 elements, each verified under both zeta maps
+SCOREBOARDS = {"zeta_identity_corpus.py": [
+    r"^alternating: 25/25 identities verified at 1e-10 in ",
+    r"^plain: 25/25 identities verified at 1e-10 in "]}
+
+
 @pytest.mark.parametrize("name", ["ramanujan_sums.py", "quaternary_table.py",
                                   "zeta_identity_corpus.py"])
 def test_script_runs_without_failures(capsys, monkeypatch, name):
@@ -20,6 +27,8 @@ def test_script_runs_without_failures(capsys, monkeypatch, name):
     runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
     assert out and "FAIL" not in out
+    for line in SCOREBOARDS.get(name, ()):
+        assert re.search(line, out, re.M), (line, out)
 
 
 def test_replay_outputs_prints_a_stable_hash(capsys, monkeypatch):

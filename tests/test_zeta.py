@@ -541,6 +541,34 @@ def test_finite_form_verifies_on_corpus(classes_upto_6):
             assert rec.passed, P
 
 
+def plain_record(P):
+    """The plain map's record of P: sum_(n>=r0) Omega(P, n) (zeta(n+1)-1)
+    = n_tilde(Omega), r0 the height of P, where Omega starts."""
+    form = finite_form_identity(P)
+    return form._replace(
+        lhs_description=f"sum_{{n>={form.start_index}}} "
+                        f"Omega({P.relation_string()})(n) (zeta(n+1)-1)",
+        rhs=n_tilde(form.lhs_poly), alternating=False)
+
+
+def test_plain_map_verifies_on_corpus(classes_upto_6):
+    # the plain series converges as the alternating one does: every class
+    # passes, and on 0-5 elements the engine equals the comb-sum referee
+    ctx = PrecisionContext(working_digits=40)
+    for size in range(7):
+        for P in classes_upto_6[size]:
+            rec = plain_record(P)
+            got = verify_identity(rec, ctx)
+            assert got.passed, P
+            if size <= 5:
+                assert got == comb_verify_identity(rec, ctx), P
+    # a zeta(3) too many on A3's right side fails
+    rec = plain_record(antichain(3))
+    assert rec.rhs == ZetaExpr.make(0, {1: 1, 2: 6, 3: 6})
+    wrong = rec._replace(rhs=rec.rhs + ZetaExpr.make(0, {2: 1}))
+    assert verify_identity(wrong, ctx).passed is False
+
+
 REFEREE_CONTEXTS = [PrecisionContext(working_digits=d, verify_tolerance=t)
                     for d in (20, 40, 60) for t in (1e-12, 1e-15)]
 
@@ -587,15 +615,15 @@ def test_integer_sums_match_the_fraction_referee_on_named_records():
     for ctx in REFEREE_CONTEXTS:
         for rec in records:
             assert_same_as_referee(rec, ctx)
-    # the floors by the lcm 21 round: the sum sits below the exact partial
-    # sum by less than one ulp per term
+    # the sum by the lcm 21 is floored once: it sits below the exact
+    # partial sum by less than one ulp
     rec = verify_identity(fractional_record())
     N = int(rec.notes[-1].rpartition("=")[2])
     exact = sum((-1) ** (k + 1) * rec.lhs_poly.eval(k)
                 * zeta_value(k + 1, minus_one=True)[0]
                 for k in range(1, N + 1))
     B = zeta._borwein_size(DEFAULT_CTX.working_digits)[1]
-    assert 0 < exact - rec.lhs_numeric < Fraction(N, 1 << B)
+    assert 0 < exact - rec.lhs_numeric < Fraction(1, 1 << B)
 
 
 def assert_same_as_comb_sum(rec, ctx):
@@ -614,6 +642,35 @@ def test_a_start_past_the_cap_sums_nothing():
     got = verify_identity(rec)
     assert got.lhs_numeric == 0
     assert got == comb_verify_identity(rec, DEFAULT_CTX)
+    # T = N - start + 1 < 0 counts no term, with either sign
+    for alternating in (True, False):
+        rec = IdentityRecord("sum_{n>=1000} (zeta(n+1)-1)", ZetaExpr.make(0),
+                             lhs_poly=BinomialPoly({0: 1}),
+                             alternating=alternating, start_index=1000)
+        got = verify_identity(rec)
+        assert got.lhs_numeric == 0 and got.passed
+        assert got == comb_verify_identity(rec, DEFAULT_CTX)
+        assert got == fraction_verify_identity(rec, DEFAULT_CTX)
+
+
+COEFFICIENTS = st.one_of(st.integers(min_value=-6, max_value=6).map(Fraction),
+                         st.fractions(min_value=-4, max_value=4,
+                                      max_denominator=7))
+
+
+@given(st.dictionaries(st.integers(min_value=0, max_value=4), COEFFICIENTS,
+                       max_size=5),
+       st.integers(min_value=1, max_value=6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_drawn_records_match_the_fraction_referee(coeffs, start, alternating):
+    # any signs, any lcm, either map: lhs, rhs, bound, pass and notes; at
+    # 20 digits the weight's part of the bound shows in its float
+    poly = BinomialPoly(coeffs)
+    rhs = n_tilde2(poly) if alternating else n_tilde(poly)
+    rec = IdentityRecord("drawn", rhs, lhs_poly=poly, alternating=alternating,
+                         start_index=start)
+    for ctx in (DEFAULT_CTX, PrecisionContext(working_digits=20)):
+        assert verify_identity(rec, ctx) == fraction_verify_identity(rec, ctx)
 
 
 def test_inverse_product_sums_match_the_comb_sum_referee_and_mpmath():
@@ -674,8 +731,9 @@ def falling_record():
 
 
 def test_records_off_the_certificate_match_the_comb_sum_referee():
-    # the summed weight: the falling record, and C3 summed from k = 1,
-    # where delta_0 = q(1) = 0
+    # records no package code builds: the falling record, whose weight
+    # sum_j |delta_j| C(T, j+1) lies above sum |q_k|, and C3 summed from
+    # k = 1, where delta_0 = q(1) = 0
     records = [falling_record(),
                finite_form_identity(chain(3))._replace(start_index=1)]
     assert zeta._differences({0: 2, 1: -1}, 1) == [1, -1]
@@ -708,9 +766,9 @@ def test_moment_sums_match_the_direct_sums(classes_upto_6):
 
 
 def test_closed_form_weight_matches_the_summed_weight(classes_upto_6):
-    # every class of 0-6 elements takes the certificate: delta_0 > 0 and no
-    # delta_j < 0 at r0, and the weight sum_j delta_j C(T, j+1) equals
-    # sum |q_k| over the N - r0 + 1 summed terms
+    # every class of 0-6 elements has delta_0 > 0 and no delta_j < 0 at r0,
+    # so the weight sum_j delta_j C(T, j+1) equals sum |q_k| over the
+    # N - r0 + 1 summed terms
     for size in range(7):
         for P in classes_upto_6[size]:
             form = finite_form_identity(P)
@@ -735,7 +793,6 @@ def test_the_bound_refuses_before_the_sum(monkeypatch):
     def no_moments(*args):
         raise AssertionError("the moments were read")
     monkeypatch.setattr(zeta, "_moments", no_moments)
-    monkeypatch.setattr(zeta, "_forward_values", no_moments)
     rec = finite_form_identity(antichain(500), guard=500)
     ctx = PrecisionContext(series_term_cap=10 ** 8)
     with pytest.raises(PrecisionUnachievable,
@@ -744,8 +801,8 @@ def test_the_bound_refuses_before_the_sum(monkeypatch):
 
 
 def test_a_record_off_the_certificate_refuses_before_the_sum(monkeypatch):
-    # the falling record at one digit: its weight is summed from its
-    # signed values, and the bound is refused with the referee's message
+    # the falling record at one digit: its weight comes from its
+    # differences, and the bound is refused with the referee's message
     # before the moments are read
     rec = falling_record()
     ctx = PrecisionContext(working_digits=1)
@@ -760,9 +817,9 @@ def test_a_record_off_the_certificate_refuses_before_the_sum(monkeypatch):
         verify_identity(rec, ctx)
 
 
-def test_a_moved_constant_fails_on_both_paths(monkeypatch):
-    # n_tilde2's constant moved by 2^-30: A3 (the moments) and the
-    # fractional record (L = 21, term by term) both FAIL, twice
+def test_a_moved_constant_fails_whatever_the_lcm(monkeypatch):
+    # n_tilde2's constant moved by 2^-30: A3 and the fractional record
+    # (L = 21, floored once) both FAIL, twice
     true_n_tilde2 = zeta.n_tilde2
 
     def shifted(p):
